@@ -1,7 +1,7 @@
 """Chaos recovery: fault-injected closure runs vs clean runs, gated on identity.
 
 Runs the full counterexample-guided refinement loop with the formal stage
-on worker processes while a pinned :class:`repro.formal.chaos.ChaosPlan`
+on worker processes while a pinned :class:`repro.chaos.FaultPlan`
 kills or wedges workers mid-run, and measures what supervision costs:
 
 * **identity gate (always, including CI smoke)** — every chaos schedule's
@@ -33,8 +33,8 @@ from repro.core.config import GoldMineConfig
 from repro.core.refinement import CoverageClosure
 from repro.designs import info as design_info
 from repro.experiments.common import format_table
-from repro.formal import chaos
-from repro.formal.chaos import FAULT_KILL, FAULT_WEDGE, ChaosPlan, WorkerFault
+from repro import chaos
+from repro.chaos import FAULT_KILL, FAULT_WEDGE, Fault, FaultPlan
 from repro.formal.proofcache import ProofCache
 from repro.sim.stimulus import RandomStimulus
 
@@ -55,16 +55,16 @@ WORKERS = 2
 #: The pinned schedules; each names the scenario it reproduces.
 SCHEDULES = (
     ("kill-first-message",
-     lambda: ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)})),
+     lambda: FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=0)})),
     ("kill-mid-run",
-     lambda: ChaosPlan(faults={1: WorkerFault(FAULT_KILL, after_messages=2)})),
+     lambda: FaultPlan(faults={1: Fault(FAULT_KILL, after_messages=2)})),
     ("wedge-first-message",
-     lambda: ChaosPlan(faults={1: WorkerFault(FAULT_WEDGE, after_messages=0)})),
+     lambda: FaultPlan(faults={1: Fault(FAULT_WEDGE, after_messages=0)})),
     ("kill-budget-exhausted",
-     lambda: ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)},
-                       max_restarts=0)),
+     lambda: FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=0)},
+                      max_restarts=0)),
     ("seeded-double-fault",
-     lambda: ChaosPlan.seeded(7, workers=WORKERS, faults=2)),
+     lambda: FaultPlan.seeded(7, slots=WORKERS, faults=2)),
 )
 
 

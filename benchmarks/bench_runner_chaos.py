@@ -1,7 +1,7 @@
 """Runner chaos recovery: fault-injected supervised sweeps vs clean runs.
 
 Runs real ``sweep`` experiment jobs on the supervised job pool while a
-pinned :class:`repro.runner.chaos.RunnerChaosPlan` SIGKILLs, wedges, or
+pinned :class:`repro.chaos.FaultPlan` SIGKILLs, wedges, or
 OOM-balloons workers mid-run, and measures what runner-level supervision
 costs:
 
@@ -33,9 +33,8 @@ import time
 
 from _utils import run_once, write_bench_json
 
-from repro import supervise
+from repro import chaos, supervise
 from repro.experiments.common import format_table
-from repro.runner import chaos
 from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.pool import execute_jobs
 from repro.runner.registry import (
@@ -167,28 +166,28 @@ def test_runner_chaos_recovery(benchmark, print_section, tmp_path):
     deadline = max(2.0, 4.0 * slowest)
 
     def seeded_plan():
-        plan = chaos.RunnerChaosPlan.seeded(7, jobs=len(jobs), faults=2)
-        plan.job_timeout = deadline
+        plan = chaos.FaultPlan.seeded(7, slots=len(jobs), faults=2)
+        plan.timeout = deadline
         return plan
 
     schedules = [
         ("kill-first-job",
-         lambda: chaos.RunnerChaosPlan(
-             faults={0: chaos.JobFault(chaos.FAULT_KILL)})),
+         lambda: chaos.FaultPlan(
+             faults={0: chaos.Fault(chaos.FAULT_KILL)})),
         ("kill-mid-run",
-         lambda: chaos.RunnerChaosPlan(
-             faults={len(jobs) // 2: chaos.JobFault(chaos.FAULT_KILL)})),
+         lambda: chaos.FaultPlan(
+             faults={len(jobs) // 2: chaos.Fault(chaos.FAULT_KILL)})),
         ("wedge-deadline",
-         lambda: chaos.RunnerChaosPlan(
-             faults={min(1, len(jobs) - 1): chaos.JobFault(chaos.FAULT_WEDGE)},
-             job_timeout=deadline)),
+         lambda: chaos.FaultPlan(
+             faults={min(1, len(jobs) - 1): chaos.Fault(chaos.FAULT_WEDGE)},
+             timeout=deadline)),
         ("seeded-double-fault", seeded_plan),
     ]
     if _HAS_RSS_PROBE:
         schedules.append(
             ("oom-degrade",
-             lambda: chaos.RunnerChaosPlan(
-                 faults={0: chaos.JobFault(chaos.FAULT_OOM, balloon_mb=256)},
+             lambda: chaos.FaultPlan(
+                 faults={0: chaos.Fault(chaos.FAULT_OOM, balloon_mb=256)},
                  memory_budget_mb=96)))
 
     headers = ["schedule", "clean s", "chaos s", "overhead", "restarts",

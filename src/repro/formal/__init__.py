@@ -44,15 +44,15 @@ Every engine reports **canonical counterexamples** — a pure function of
 (design, assertion, engine configuration), independent of solver history —
 which is the invariant both layers rest on.
 
-The execution layer is fault-tolerant (PR 8): the worker pool supervises
-its processes (dead/wedged workers are respawned with their shard
-deterministically requeued, within a bounded restart budget, then served
-by an in-process fallback — see :mod:`repro.formal.supervise`), every
-query can carry a wall-clock deadline
-(``GoldMineConfig.formal_query_timeout`` — expiry yields an uncached
-``timed_out`` UNKNOWN, with k-induction/tiered degrading to bounded
-search first), and :mod:`repro.formal.chaos` replays pinned fault
-schedules to prove recovered runs byte-identical to clean ones.
+The execution layer is fault-tolerant: the worker pool runs on the
+shared supervised pool of :mod:`repro.supervise` (dead/wedged workers
+are respawned with their shard resent verbatim, within a bounded restart
+budget, then served by an in-process fallback), every query can carry a
+wall-clock deadline (``GoldMineConfig.formal_query_timeout`` — expiry
+yields an uncached ``timed_out`` UNKNOWN, with k-induction/tiered
+degrading to bounded search first), and :mod:`repro.chaos` replays
+pinned fault schedules to prove recovered runs byte-identical to clean
+ones.
 """
 
 from repro.formal.bmc import BmcModelChecker

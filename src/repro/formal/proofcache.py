@@ -37,6 +37,11 @@ import threading
 import time
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - no flock on this platform
+    fcntl = None
+
 from repro.assertions.assertion import Assertion, Literal, Verdict
 from repro.formal.result import PROOF_BOUNDED, CheckResult, Counterexample
 from repro.hdl.module import Module
@@ -186,12 +191,11 @@ class ProofCache:
 
     With a ``path`` the cache is persistent: existing entries are loaded
     at construction, and :meth:`flush` merges the in-memory entries into
-    the file via read-merge-replace with an atomic rename.  Readers never
-    see a torn file; two processes flushing in the same instant may each
-    miss entries the other added inside the read→replace window
-    (last-replace wins).  That is a deliberate trade: entries are
-    deterministic per key, so a dropped entry can only cost a later
-    re-prove, never a wrong verdict.
+    the file via read-merge-replace with an atomic rename, holding an
+    exclusive ``flock`` on the sidecar ``<path>.lock`` across the whole
+    read→replace window.  Readers never see a torn file, and processes
+    flushing into the same file at the same time (``--workers N`` with
+    a shared ``--proof-cache``) never drop each other's entries.
     """
 
     _registry: "dict[str | None, ProofCache]" = {}
@@ -361,21 +365,26 @@ class ProofCache:
         """Merge in-memory entries into the backing file atomically.
 
         No-op for in-memory caches and when nothing changed since the
-        last flush.  The on-disk entries are re-read and merged first so
-        concurrent flushers only ever add entries.
+        last flush.  The on-disk entries are re-read and merged first,
+        under an exclusive lock on ``<path>.lock`` that every flusher
+        takes, so concurrent flushers — threads or processes — only ever
+        add entries.
         """
         if self.path is None:
             return
         with self._lock:
             if not self._dirty:
                 return
-            merged = self._read_file(self.path)
-            merged.update(self._entries)
-            self._entries = merged
-            document = {"version": CACHE_SCHEMA_VERSION, "entries": merged}
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            # durable_write fsyncs the tmp and the directory entry, so a
-            # power loss mid-flush cannot leave an empty cache file.
-            durable_write(self.path,
-                          json.dumps(document, indent=1, sort_keys=True) + "\n")
+            with open(f"{self.path}.lock", "a") as lock:
+                if fcntl is not None:
+                    fcntl.flock(lock, fcntl.LOCK_EX)  # released on close
+                merged = self._read_file(self.path)
+                merged.update(self._entries)
+                self._entries = merged
+                document = {"version": CACHE_SCHEMA_VERSION, "entries": merged}
+                # durable_write fsyncs the tmp and the directory entry, so
+                # a power loss mid-flush cannot leave an empty cache file.
+                durable_write(self.path,
+                              json.dumps(document, indent=1, sort_keys=True) + "\n")
             self._dirty = False

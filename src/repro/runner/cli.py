@@ -107,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=1, metavar="N",
                      help="persistent formal verification worker processes "
                           "per closure run (default 1 = in-process; results "
-                          "are identical for every worker count)")
+                          "are identical for every worker count); no effect "
+                          "under --workers N > 1, whose jobs run in daemonic "
+                          "workers and check in-process")
     run.add_argument("--formal-timeout", dest="formal_timeout", type=float,
                      default=None, metavar="SECONDS",
                      help="wall-clock budget per formal query (default: "

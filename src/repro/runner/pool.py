@@ -1,4 +1,4 @@
-"""Supervised worker-pool execution of experiment job sets.
+"""Supervised execution of experiment job sets.
 
 ``execute_jobs`` fans a list of :class:`~repro.runner.registry.JobSpec`
 jobs out across a :class:`SupervisedJobPool` (or runs them inline for
@@ -7,21 +7,19 @@ record per completed job as it finishes.  Jobs already present in the
 checkpoint are skipped, which is what makes a killed run resumable:
 re-invoking the same command picks up exactly where the log ends.
 
-Unlike the bare ``multiprocessing.Pool`` this replaced, the supervised
-pool owns one worker process per slot on dedicated queue pairs and polls
-them for liveness, so the whole-run failure modes of ``imap_unordered``
-are gone:
+:class:`SupervisedJobPool` is the job runner's use of the shared
+:class:`repro.supervise.SupervisedPool`, which detects dead, over-deadline
+and over-budget workers and respawns them.  This module decides what a
+fault means for the job the worker held:
 
-* **Worker death** (SIGKILL, OOM kill, segfault) — the slot is respawned
-  on fresh queues and the in-flight job deterministically requeued; the
-  run continues.
+* **Worker death** (SIGKILL, OOM kill, segfault) — the job is requeued
+  on a fresh worker; the run continues.
 * **Runaway jobs** — an optional per-job wall-clock deadline
   (``job_timeout``) ends an over-deadline worker with terminate→kill
   escalation and requeues the job.
 * **Memory pressure** — an optional RSS watchdog (``memory_budget_mb``)
   kills a worker whose resident set grows more than the budget past its
-  post-spawn baseline (growth, not absolute RSS: forked children inherit
-  the parent's resident pages) and retries the job once in degraded mode
+  post-spawn baseline and retries the job once in degraded mode
   (``sim_lanes``/``formal_workers`` reduced — payloads are invariant to
   both, so the artifact is unchanged; the degradation is recorded).
 * **Poison jobs** — every fault is charged to the job's bounded retry
@@ -29,9 +27,6 @@ are gone:
   is quarantined as ``status: "poisoned"`` (or ``"timed_out"`` when the
   final fault was its deadline) with its attempt count and fault history
   persisted, and is never retried on resume without ``retry_poisoned``.
-* **Orphans** — workers self-exit when the parent dies, and a
-  ``weakref.finalize`` reaper sweeps any still-live children if the pool
-  is dropped without ``close()``.
 
 Determinism contract: a job's payload depends only on its params, never
 on scheduling or supervision, so serial, parallel, and fault-recovered
@@ -41,28 +36,27 @@ attempt accounting aside).  Failures *inside* a job are recorded
 whole run; the surviving jobs still checkpoint, and the CLI exits
 non-zero.
 
-Chaos injection: when a :class:`repro.runner.chaos.RunnerChaosPlan` is
-installed (test-only), its per-job-index faults are shipped to workers
-on each job's first in-run attempt and its supervision overrides apply —
-see :mod:`repro.runner.chaos`.
+Fault injection: an installed :class:`repro.chaos.FaultPlan` keys its
+faults by job index and delivers each with that job's first in-run
+attempt; its supervision overrides replace the caller's settings.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 import traceback
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from queue import Empty
 from typing import Callable, Sequence
 
-from repro import supervise
-from repro.runner import chaos
+from repro import chaos
 from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.registry import JobSpec, get_experiment
+from repro.supervise import (
+    BACKOFF_CAP_SECONDS,
+    DEFAULT_BACKOFF_SECONDS,
+    SupervisedPool,
+)
 
 #: Default per-job retry budget: faults beyond these retries quarantine
 #: the job.  Chosen to match the formal layer's restart allowance.
@@ -72,15 +66,6 @@ DEFAULT_RETRY_BUDGET = 2
 #: execution.  Both are payload-invariant knobs.
 DEGRADED_SIM_LANES = 16
 DEGRADED_FORMAL_WORKERS = 1
-
-#: Supervision poll cadence (response drain, liveness, deadline, RSS).
-_POLL_SECONDS = 0.05
-#: How long an idle worker waits for a message before checking whether
-#: its parent is still alive (orphan self-exit).
-_PARENT_POLL_SECONDS = 0.5
-#: Extra drain window for the answer-then-die race: a worker that wrote
-#: its response and was killed before the parent noticed.
-_DRAIN_SECONDS = 0.2
 
 #: Counter keys ``execute_jobs`` maintains in its ``stats`` out-param.
 STAT_KEYS = ("worker_restarts", "job_timeouts", "memory_kills",
@@ -109,30 +94,9 @@ def run_one_job(task: tuple[str, str, dict]) -> dict:
     return record
 
 
-def _worker_main(requests, responses) -> None:
-    """Runner worker loop: execute job messages until told to stop.
-
-    Between messages the worker checks its parent is still alive and
-    self-exits if not — a killed supervisor can never strand workers.
-    A shipped chaos fault is suffered *instead of* answering, faithfully
-    reproducing a worker that died or wedged mid-job.
-    """
-    parent = multiprocessing.parent_process()
-    while True:
-        try:
-            message = requests.get(timeout=_PARENT_POLL_SECONDS)
-        except Empty:
-            if parent is not None and not parent.is_alive():
-                os._exit(0)
-            continue
-        except (EOFError, OSError):  # pragma: no cover - queues torn down
-            os._exit(0)
-        if message[0] == "stop":
-            return
-        _, task, fault = message
-        if fault is not None:
-            chaos.suffer(fault)  # never returns
-        responses.put(run_one_job(task))
+def _job_handler():
+    """Worker setup: every request is a job task for :func:`run_one_job`."""
+    return run_one_job
 
 
 def _degraded_overrides(params) -> dict:
@@ -150,7 +114,7 @@ class _JobState:
     """Supervision bookkeeping for one pending job."""
 
     job: JobSpec
-    #: Position in the run's pending list — the key chaos plans use.
+    #: Position in the run's pending list — the key fault plans use.
     index: int
     #: Executions recorded by previous runs (from the checkpoint record).
     prior_attempts: int = 0
@@ -174,240 +138,108 @@ class _JobState:
         return task
 
 
-class _Slot:
-    """One supervised worker: process + queue pair + in-flight job."""
-
-    __slots__ = ("process", "requests", "responses", "state", "started_at",
-                 "baseline_rss")
-
-    def __init__(self, process, requests, responses, baseline_rss):
-        self.process = process
-        self.requests = requests
-        self.responses = responses
-        self.baseline_rss = baseline_rss
-        self.state: _JobState | None = None
-        self.started_at = 0.0
-
-
-class SupervisedJobPool:
-    """Per-slot supervised workers with requeue, deadlines, and governance.
+class SupervisedJobPool(SupervisedPool):
+    """Job states on supervised workers: requeue, deadlines, governance.
 
     One-shot: construct, :meth:`run` one batch of job states, done.
     ``stats`` (a mutable dict) accumulates the :data:`STAT_KEYS` counters
     so callers can assert recovery actually fired.
     """
 
+    name = "runner-worker"
+
     def __init__(self, workers: int, *,
                  job_timeout: float | None = None,
                  memory_budget_mb: float | None = None,
                  retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 backoff: float = supervise.DEFAULT_BACKOFF_SECONDS,
+                 backoff: float = DEFAULT_BACKOFF_SECONDS,
                  chaos_plan=None,
                  stats: dict | None = None):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
+        super().__init__(workers, memory_budget_mb=memory_budget_mb)
         self._job_timeout = job_timeout
-        self._memory_budget_bytes = (None if memory_budget_mb is None
-                                     else memory_budget_mb * (1 << 20))
         self._retry_budget = retry_budget
         self._backoff = backoff
         self._chaos_plan = chaos_plan
         self.stats = stats if stats is not None else {}
         for key in STAT_KEYS:
             self.stats.setdefault(key, 0)
-        # fork where available: workers inherit the parent's registry, so
-        # specs registered at runtime (not just the import-time built-ins)
-        # resolve in the children.
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - Windows
-            self._context = multiprocessing.get_context()
-        self._slots: list[_Slot | None] = [None] * workers
-        self._live: list = []
-        self._finalizer = weakref.finalize(self, supervise.reap_processes,
-                                           self._live)
+        self._pending: deque[_JobState] = deque()
+        self._absorb: Callable[[dict], None] | None = None
 
-    # ------------------------------------------------------------------
-    # worker lifecycle
-    # ------------------------------------------------------------------
-    def _spawn(self, index: int) -> None:
-        old = self._slots[index]
-        if old is not None:
-            if old.process in self._live:
-                self._live.remove(old.process)
-            supervise.discard_queue(old.requests)
-            supervise.discard_queue(old.responses)
-        requests = self._context.Queue()
-        responses = self._context.Queue()
-        process = self._context.Process(target=_worker_main,
-                                        args=(requests, responses),
-                                        name=f"runner-worker-{index}",
-                                        daemon=True)
-        process.start()
-        self._live.append(process)
-        # RSS right after spawn: the watchdog meters growth over this
-        # baseline, since a forked child's absolute RSS includes every
-        # page inherited from the parent.  None → probe unsupported →
-        # memory governance disabled for this slot.
-        baseline = supervise.process_rss_bytes(process.pid)
-        self._slots[index] = _Slot(process, requests, responses, baseline)
+    def _worker_setup(self):
+        return _job_handler, ()
 
-    def _respawn(self, index: int) -> None:
-        """Replace a dead/killed worker on fresh queues (fault path)."""
-        self.stats["worker_restarts"] += 1
-        self._spawn(index)
-
-    def close(self) -> None:
-        """Stop every worker: cooperative stop → join → escalation."""
-        for slot in self._slots:
-            if slot is None:
-                continue
-            try:
-                if slot.process.is_alive():
-                    slot.requests.put(("stop",))
-            except (ValueError, OSError):  # pragma: no cover - torn down
-                pass
-        for index, slot in enumerate(self._slots):
-            if slot is None:
-                continue
-            slot.process.join(2.0)
-            supervise.stop_process(slot.process)
-            if slot.process in self._live:
-                self._live.remove(slot.process)
-            supervise.discard_queue(slot.requests)
-            supervise.discard_queue(slot.responses)
-            self._slots[index] = None
-
-    # ------------------------------------------------------------------
-    # the supervision loop
-    # ------------------------------------------------------------------
     def run(self, states: Sequence[_JobState],
             absorb: Callable[[dict], None]) -> None:
         """Run every job state to a final record, surviving worker faults."""
-        pending: deque[_JobState] = deque(states)
-        for index in range(len(self._slots)):
-            self._spawn(index)
+        self._pending = deque(states)
+        self._absorb = absorb
         try:
-            while pending or any(slot is not None and slot.state is not None
-                                 for slot in self._slots):
-                progressed = self._dispatch(pending)
-                progressed |= self._supervise(pending, absorb)
-                if not progressed:
-                    time.sleep(_POLL_SECONDS)
+            while self._pending or self._busy():
+                self._poll(self._dispatch())
         finally:
+            self.stats["worker_restarts"] += self.restarts
             self.close()
 
-    def _dispatch(self, pending: deque) -> bool:
-        progressed = False
+    def _dispatch(self) -> float | None:
+        """Give ready jobs to idle slots, replacing idle workers that died.
+
+        Returns when the first backed-off job becomes ready if a slot is
+        left idle waiting for it, else ``None``.
+        """
         now = time.monotonic()
+        waiting = False
         for index, slot in enumerate(self._slots):
-            if slot.state is not None:
+            if slot is None:
+                self._spawn(index)
+            elif slot.task is not None:
                 continue
-            if not slot.process.is_alive():
-                # Idle worker died (external kill): replace it.
-                self._respawn(index)
-                slot = self._slots[index]
-            if not pending:
-                continue
-            state = self._next_ready(pending, now)
+            elif not slot.process.is_alive():
+                self._respawn(index)  # idle worker died (external kill)
+            state = self._next_ready(now)
             if state is None:
+                waiting = waiting or bool(self._pending)
                 continue
             fault = None
             if self._chaos_plan is not None and state.runs == 0:
                 fault = self._chaos_plan.take_fault(state.index)
             state.runs += 1
-            slot.state = state
-            slot.started_at = now
-            slot.requests.put(("job", state.current_task(), fault))
-            progressed = True
-        return progressed
+            self._submit(index, state, state.current_task(),
+                         timeout=self._job_timeout, fault=fault)
+        if waiting:
+            return min(state.ready_at for state in self._pending)
+        return None
 
-    @staticmethod
-    def _next_ready(pending: deque, now: float):
+    def _next_ready(self, now: float):
         """Pop the first pending state whose backoff has elapsed."""
+        pending = self._pending
         for _ in range(len(pending)):
             if pending[0].ready_at <= now:
                 return pending.popleft()
             pending.rotate(-1)
         return None
 
-    def _supervise(self, pending: deque, absorb) -> bool:
-        progressed = False
-        for index, slot in enumerate(self._slots):
-            if slot.state is None:
-                continue
-            record = self._poll_response(slot)
-            if record is not None:
-                self._finish(slot, record, absorb)
-                progressed = True
-                continue
-            if not slot.process.is_alive():
-                # Answer-then-die race: drain once before declaring the
-                # job unanswered.
-                record = self._poll_response(slot, timeout=_DRAIN_SECONDS)
-                if record is not None:
-                    self._finish(slot, record, absorb)
-                else:
-                    self._fault(slot, "crash",
-                                {"exitcode": slot.process.exitcode},
-                                pending, absorb)
-                self._respawn(index)
-                progressed = True
-                continue
-            now = time.monotonic()
-            if (self._job_timeout is not None
-                    and now - slot.started_at > self._job_timeout):
-                supervise.stop_process(slot.process)
-                self.stats["job_timeouts"] += 1
-                self._fault(slot, "deadline",
-                            {"timeout_seconds": self._job_timeout},
-                            pending, absorb)
-                self._respawn(index)
-                progressed = True
-                continue
-            if (self._memory_budget_bytes is not None
-                    and slot.baseline_rss is not None):
-                rss = supervise.process_rss_bytes(slot.process.pid)
-                if (rss is not None
-                        and rss - slot.baseline_rss > self._memory_budget_bytes):
-                    supervise.stop_process(slot.process)
-                    self.stats["memory_kills"] += 1
-                    self._fault(slot, "memory",
-                                {"rss_bytes": rss,
-                                 "baseline_bytes": slot.baseline_rss},
-                                pending, absorb)
-                    self._respawn(index)
-                    progressed = True
-        return progressed
-
-    @staticmethod
-    def _poll_response(slot: _Slot, timeout: float | None = None):
-        try:
-            if timeout is None:
-                return slot.responses.get_nowait()
-            return slot.responses.get(timeout=timeout)
-        except Empty:
-            return None
-        except (EOFError, OSError):  # pragma: no cover - queues torn down
-            return None
-
-    def _finish(self, slot: _Slot, record: dict, absorb) -> None:
-        state = slot.state
-        slot.state = None
+    def _on_reply(self, index: int, state: _JobState, reply) -> None:
+        _, record = reply  # run_one_job never raises
         record["attempts"] = state.attempts
         if state.degraded:
             record["degraded"] = dict(state.degraded)
         if state.faults:
             record["faults"] = list(state.faults)
-        absorb(record)
+        self._absorb(record)
 
-    def _fault(self, slot: _Slot, kind: str, detail: dict,
-               pending: deque, absorb) -> None:
-        """Charge a fault to the in-flight job: requeue, degrade, or quarantine."""
-        state = slot.state
-        slot.state = None
+    def _on_fault(self, index: int, state: _JobState, kind: str,
+                  detail: dict) -> None:
+        """Charge a fault to the job: requeue, degrade, or quarantine."""
+        started_at = self._slots[index].started_at
+        self._respawn(index)
+        if kind == "deadline":
+            self.stats["job_timeouts"] += 1
+            detail = {"timeout_seconds": self._job_timeout}
+        elif kind == "memory":
+            self.stats["memory_kills"] += 1
         entry = {"fault": kind, "attempt": state.attempts}
         entry.update(detail)
         state.faults.append(entry)
@@ -418,14 +250,13 @@ class SupervisedJobPool:
             state.degraded = _degraded_overrides(state.job.params)
             state.ready_at = now
             self.stats["degraded_retries"] += 1
-            pending.append(state)
+            self._pending.append(state)
             return
         if state.retries_used < self._retry_budget:
             state.retries_used += 1
-            delay = min(supervise.BACKOFF_CAP_SECONDS,
-                        self._backoff * (2 ** (state.retries_used - 1)))
-            state.ready_at = now + delay
-            pending.append(state)
+            state.ready_at = now + min(BACKOFF_CAP_SECONDS,
+                                       self._backoff * (2 ** (state.retries_used - 1)))
+            self._pending.append(state)
             return
         # Budget exhausted: quarantine with the full fault history.
         if kind == "deadline":
@@ -444,13 +275,13 @@ class SupervisedJobPool:
             "experiment": state.job.experiment,
             "status": status,
             "error": error,
-            "seconds": round(now - slot.started_at, 6),
+            "seconds": round(now - started_at, 6),
             "attempts": state.attempts,
             "faults": list(state.faults),
         }
         if state.degraded:
             record["degraded"] = dict(state.degraded)
-        absorb(record)
+        self._absorb(record)
 
 
 #: Record statuses that are final: never retried on resume without
@@ -465,7 +296,7 @@ def execute_jobs(jobs: Sequence[JobSpec], checkpoint: RunCheckpoint,
                  memory_budget_mb: float | None = None,
                  retry_budget: int = DEFAULT_RETRY_BUDGET,
                  retry_poisoned: bool = False,
-                 backoff: float = supervise.DEFAULT_BACKOFF_SECONDS,
+                 backoff: float = DEFAULT_BACKOFF_SECONDS,
                  stats: dict | None = None) -> dict[str, dict]:
     """Run every job not already completed; return all records by job id.
 
@@ -490,12 +321,12 @@ def execute_jobs(jobs: Sequence[JobSpec], checkpoint: RunCheckpoint,
 
     plan = chaos.active_plan()
     if plan is not None:
-        if plan.job_timeout is not None:
-            job_timeout = plan.job_timeout
+        if plan.timeout is not None:
+            job_timeout = plan.timeout
         if plan.memory_budget_mb is not None:
             memory_budget_mb = plan.memory_budget_mb
-        if plan.retry_budget is not None:
-            retry_budget = plan.retry_budget
+        if plan.max_restarts is not None:
+            retry_budget = plan.max_restarts
         if plan.backoff is not None:
             backoff = plan.backoff
 

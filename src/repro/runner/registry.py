@@ -64,7 +64,10 @@ class RunOptions:
     rest); ``formal_workers`` fans each run's candidate batches out to
     that many persistent verification worker processes
     (``GoldMineConfig.formal_workers`` — results are identical for every
-    count, see :mod:`repro.formal.parallel`); ``formal_timeout`` caps
+    count, see :mod:`repro.formal.parallel`) — except under the
+    runner's ``--workers N > 1``, where it has no effect: those jobs run
+    in daemonic pool workers, which may not spawn children, so they check
+    in-process (``FormalVerifier._can_spawn_workers``); ``formal_timeout`` caps
     each individual formal query's wall clock in seconds (expired
     queries come back as uncached, ``timed_out`` UNKNOWNs, and the
     unbounded-proof engines degrade to bounded search first — see

@@ -153,3 +153,29 @@ def b01_module():
 @pytest.fixture
 def arbiter2_source():
     return ARBITER2_SOURCE
+
+
+@pytest.fixture
+def answer_then_die(monkeypatch):
+    """Make every supervised worker exit right after sending an answer,
+    and the supervisor look only once the worker is gone — the race a
+    queue feeder thread used to lose answers to."""
+    import multiprocessing
+    import os
+    import time
+    from multiprocessing import connection
+
+    send, wait = connection.Connection.send, connection.wait
+
+    def send_then_die(connection, message):
+        send(connection, message)
+        if multiprocessing.parent_process() is not None and message[0] == "ok":
+            os._exit(0)
+
+    def late_wait(handles, timeout=None):
+        if wait(handles, timeout):
+            time.sleep(0.3)  # the worker that just answered exits meanwhile
+        return wait(handles, 0)
+
+    monkeypatch.setattr(connection.Connection, "send", send_then_die)
+    monkeypatch.setattr(connection, "wait", late_wait)

@@ -26,9 +26,9 @@ import pytest
 from repro.boolean.sat import SatBudgetExceeded, SatSolver
 from repro.core.config import GoldMineConfig
 from repro.designs import info as design_info
-from repro.formal import chaos, supervise
+from repro import chaos, supervise
 from repro.formal.bmc import BmcModelChecker
-from repro.formal.chaos import FAULT_KILL, FAULT_WEDGE, ChaosPlan, WorkerFault
+from repro.chaos import FAULT_KILL, FAULT_WEDGE, Fault, FaultPlan
 from repro.formal.checker import FormalVerifier, build_engine
 from repro.formal.induction import KInductionModelChecker
 from repro.formal.parallel import FormalWorkerPool
@@ -245,23 +245,23 @@ class TestQueryDeadline:
 # ----------------------------------------------------------------------
 class TestChaosPlan:
     def test_seeded_plans_are_reproducible(self):
-        first = ChaosPlan.seeded(7, workers=4, faults=2)
-        second = ChaosPlan.seeded(7, workers=4, faults=2)
+        first = FaultPlan.seeded(7, slots=4, faults=2)
+        second = FaultPlan.seeded(7, slots=4, faults=2)
         assert first.faults == second.faults
-        assert ChaosPlan.seeded(8, workers=4, faults=2).faults != first.faults \
+        assert FaultPlan.seeded(8, slots=4, faults=2).faults != first.faults \
             or True  # different seeds may collide; reproducibility is the claim
 
     def test_faults_are_consumed_once(self):
-        plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL)})
+        plan = FaultPlan(faults={0: Fault(FAULT_KILL)})
         assert plan.take_fault(0) is not None
         assert plan.take_fault(0) is None
         assert plan.exhausted
 
     def test_fault_validation(self):
         with pytest.raises(ValueError):
-            WorkerFault("segfault")
+            Fault("segfault")
         with pytest.raises(ValueError):
-            WorkerFault(FAULT_KILL, after_messages=-1)
+            Fault(FAULT_KILL, after_messages=-1)
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +295,7 @@ class TestPoolSupervision:
         assertions = random_assertions(arbiter2_module, 12, seed=23)
         assert _shards_cover_all_workers(assertions, self.WORKERS)
         baseline = self._baseline(arbiter2_module, assertions)
-        plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)})
+        plan = FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=0)})
         with chaos.injected(plan):
             pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
                                     workers=self.WORKERS)
@@ -314,8 +314,8 @@ class TestPoolSupervision:
     def test_wedged_worker_killed_and_respawned(self, arbiter2_module):
         assertions = random_assertions(arbiter2_module, 12, seed=23)
         baseline = self._baseline(arbiter2_module, assertions)
-        plan = ChaosPlan(faults={1: WorkerFault(FAULT_WEDGE, after_messages=0)},
-                         wedge_timeout=1.0)
+        plan = FaultPlan(faults={1: Fault(FAULT_WEDGE, after_messages=0)},
+                         timeout=1.0)
         with chaos.injected(plan):
             pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
                                     workers=self.WORKERS)
@@ -332,7 +332,7 @@ class TestPoolSupervision:
     def test_exhausted_budget_falls_back_in_process(self, arbiter2_module):
         assertions = random_assertions(arbiter2_module, 12, seed=23)
         baseline = self._baseline(arbiter2_module, assertions)
-        plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)},
+        plan = FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=0)},
                          max_restarts=0)
         with chaos.injected(plan):
             pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
@@ -353,7 +353,7 @@ class TestPoolSupervision:
         must still be canonical."""
         assertions = random_assertions(arbiter2_module, 12, seed=23)
         baseline = self._baseline(arbiter2_module, assertions)
-        plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=1)})
+        plan = FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=1)})
         indexed = list(enumerate(assertions))
         with chaos.injected(plan):
             pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
@@ -367,9 +367,28 @@ class TestPoolSupervision:
         self._assert_identical(baseline, first, len(assertions))
         self._assert_identical(baseline, second, len(assertions))
 
+    def test_answer_then_die_is_credited_once(self, arbiter2_module,
+                                              answer_then_die):
+        """A worker that sends its answer and exits before the parent
+        reads it is credited once: no restart, no fallback."""
+        assertions = random_assertions(arbiter2_module, 12, seed=23)
+        assert _shards_cover_all_workers(assertions, self.WORKERS)
+        baseline = self._baseline(arbiter2_module, assertions)
+        pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
+                                workers=self.WORKERS)
+        try:
+            results = pool.check_batch(list(enumerate(assertions)))
+        finally:
+            pids = [p.pid for p in pool._live]
+            pool.close()
+        assert pool.restarts == 0
+        assert pool.fallback_checks == 0
+        self._assert_identical(baseline, results, len(assertions))
+        assert_no_orphans(pids)
+
     def test_supervision_counters_in_reuse_stats(self, arbiter2_module):
         assertions = random_assertions(arbiter2_module, 8, seed=9)
-        plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)})
+        plan = FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=0)})
         with chaos.injected(plan):
             pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
                                     workers=self.WORKERS)
@@ -398,12 +417,12 @@ class TestClosureChaosIdentity:
     """The acceptance gate: chaos runs are byte-identical to clean runs."""
 
     SCHEDULES = [
-        ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)}),
-        ChaosPlan(faults={1: WorkerFault(FAULT_KILL, after_messages=1)}),
-        ChaosPlan(faults={1: WorkerFault(FAULT_WEDGE, after_messages=0)}),
-        ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)},
+        FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=0)}),
+        FaultPlan(faults={1: Fault(FAULT_KILL, after_messages=1)}),
+        FaultPlan(faults={1: Fault(FAULT_WEDGE, after_messages=0)}),
+        FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=0)},
                   max_restarts=0),  # straight to in-process fallback
-        ChaosPlan.seeded(7, workers=2, faults=2),
+        FaultPlan.seeded(7, slots=2, faults=2),
     ]
 
     @pytest.mark.parametrize("schedule", range(len(SCHEDULES)))
@@ -419,7 +438,7 @@ class TestClosureChaosIdentity:
         baseline = canonical(closure_artifact("arbiter2", 1, engine="bmc",
                                               workers=2, max_iterations=6))
         cache_file = str(tmp_path / "proofs.json")
-        plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)})
+        plan = FaultPlan(faults={0: Fault(FAULT_KILL, after_messages=0)})
         with chaos.injected(plan):
             first = closure_artifact("arbiter2", 1, engine="bmc", workers=2,
                                      proof_cache=cache_file, max_iterations=6)

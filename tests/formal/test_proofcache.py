@@ -139,6 +139,30 @@ class TestPersistence:
         assert merged.lookup("a" * 24, "e", a1) is not None
         assert merged.lookup("a" * 24, "e", a2) is not None
 
+    def test_concurrent_process_flushes_keep_every_entry(self, tmp_path):
+        """Four processes flushing into one file: no entry is lost."""
+        import multiprocessing
+
+        path = tmp_path / "proofs.json"
+        assertion = sample_assertion()
+
+        def flusher(worker: int) -> None:
+            cache = ProofCache(path)
+            for index in range(50):
+                cache.store("a" * 24, f"e{worker}-{index}", assertion,
+                            true_result(assertion, "explicit"))
+                cache.flush()
+
+        context = multiprocessing.get_context("fork")
+        processes = [context.Process(target=flusher, args=(worker,))
+                     for worker in range(4)]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(60.0)
+        assert [process.exitcode for process in processes] == [0] * 4
+        assert len(json.loads(path.read_text())["entries"]) == 200
+
     def test_corrupt_or_mismatched_files_are_ignored(self, tmp_path):
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{not json")

@@ -117,7 +117,7 @@ class TestJobLog:
         once, and the affected jobs simply re-run."""
         import logging
 
-        from repro.formal.chaos import corrupt_jsonl_line
+        from repro.chaos import corrupt_jsonl_line
 
         checkpoint = RunCheckpoint(tmp_path)
         for job_id in ("a", "b", "c"):

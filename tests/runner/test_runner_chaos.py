@@ -24,8 +24,7 @@ import time
 
 import pytest
 
-from repro import supervise
-from repro.runner import chaos
+from repro import chaos, supervise
 from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.pool import execute_jobs
 from repro.runner.registry import ExperimentSpec, JobSpec, register
@@ -127,8 +126,8 @@ class TestKillRecovery:
         clean_records, _, _ = _run(clean_jobs, tmp_path / "clean", workers=2)
 
         jobs = _jobs(tmp_path / "m-chaos", count=4)
-        plan = chaos.RunnerChaosPlan(
-            faults={0: chaos.JobFault(chaos.FAULT_KILL)})
+        plan = chaos.FaultPlan(
+            faults={0: chaos.Fault(chaos.FAULT_KILL)})
         with chaos.injected(plan):
             records, stats, _ = _run(jobs, tmp_path / "chaos", workers=2)
 
@@ -145,8 +144,8 @@ class TestKillRecovery:
 
     def test_kill_fault_persisted_in_checkpoint(self, tmp_path, chaos_stub):
         jobs = _jobs(tmp_path / "m", count=2)
-        plan = chaos.RunnerChaosPlan(
-            faults={1: chaos.JobFault(chaos.FAULT_KILL)})
+        plan = chaos.FaultPlan(
+            faults={1: chaos.Fault(chaos.FAULT_KILL)})
         with chaos.injected(plan):
             _, _, checkpoint = _run(jobs, tmp_path / "run", workers=2)
         reloaded = checkpoint.completed()["chaos/1"]
@@ -175,15 +174,30 @@ class TestKillRecovery:
         _assert_no_orphans()
 
 
+    def test_answer_then_die_is_credited_once(self, tmp_path, chaos_stub,
+                                              answer_then_die):
+        """A worker that sends its record and exits before the parent
+        reads it is credited once: one attempt, no fault, no restart."""
+        jobs = _jobs(tmp_path / "m", count=1)
+        records, stats, _ = _run(jobs, tmp_path / "run", workers=2)
+        record = records["chaos/0"]
+        assert record["status"] == "ok"
+        assert record["attempts"] == 1
+        assert "faults" not in record
+        assert stats["worker_restarts"] == 0
+        assert _attempt_counts(tmp_path / "m")[0] == 1
+        _assert_no_orphans()
+
+
 class TestDeadlines:
     def test_wedged_worker_recovers_via_deadline(self, tmp_path, chaos_stub):
         clean_jobs = _jobs(tmp_path / "m-clean", count=3)
         clean_records, _, _ = _run(clean_jobs, tmp_path / "clean", workers=2)
 
         jobs = _jobs(tmp_path / "m-chaos", count=3)
-        plan = chaos.RunnerChaosPlan(
-            faults={1: chaos.JobFault(chaos.FAULT_WEDGE)},
-            job_timeout=0.5)
+        plan = chaos.FaultPlan(
+            faults={1: chaos.Fault(chaos.FAULT_WEDGE)},
+            timeout=0.5)
         with chaos.injected(plan):
             records, stats, _ = _run(jobs, tmp_path / "chaos", workers=2)
 
@@ -326,8 +340,8 @@ class TestMemoryGovernance:
     def test_oom_chaos_fault_drives_watchdog(self, tmp_path, chaos_stub):
         jobs = _jobs(tmp_path / "m", count=2,
                      extra={"sim_lanes": 64, "formal_workers": 4})
-        plan = chaos.RunnerChaosPlan(
-            faults={0: chaos.JobFault(chaos.FAULT_OOM, balloon_mb=256)},
+        plan = chaos.FaultPlan(
+            faults={0: chaos.Fault(chaos.FAULT_OOM, balloon_mb=256)},
             memory_budget_mb=96)
         with chaos.injected(plan):
             records, stats, _ = _run(jobs, tmp_path / "run", workers=2)
@@ -340,31 +354,31 @@ class TestMemoryGovernance:
 
 class TestChaosPlan:
     def test_seeded_plans_are_reproducible(self):
-        first = chaos.RunnerChaosPlan.seeded(7, jobs=6, faults=2)
-        second = chaos.RunnerChaosPlan.seeded(7, jobs=6, faults=2)
+        first = chaos.FaultPlan.seeded(7, slots=6, faults=2)
+        second = chaos.FaultPlan.seeded(7, slots=6, faults=2)
         assert first.faults == second.faults
         assert len(first.faults) == 2
         assert all(fault.kind in (chaos.FAULT_KILL, chaos.FAULT_WEDGE)
                    for fault in first.faults.values())
         variants = {
-            tuple(sorted(chaos.RunnerChaosPlan.seeded(
-                seed, jobs=6, faults=2).faults.items()))
+            tuple(sorted(chaos.FaultPlan.seeded(
+                seed, slots=6, faults=2).faults.items()))
             for seed in range(10)}
         assert len(variants) > 1, "different seeds must vary the schedule"
 
     def test_seeded_wedge_plan_arms_a_deadline(self):
-        plan = chaos.RunnerChaosPlan.seeded(
-            3, jobs=4, faults=2, kinds=(chaos.FAULT_WEDGE,))
-        assert plan.job_timeout is not None
+        plan = chaos.FaultPlan.seeded(
+            3, slots=4, faults=2, kinds=(chaos.FAULT_WEDGE,))
+        assert plan.timeout is not None
 
     def test_fault_validation(self):
         with pytest.raises(ValueError):
-            chaos.JobFault("melt")
+            chaos.Fault("melt")
         with pytest.raises(ValueError):
-            chaos.JobFault(chaos.FAULT_OOM, balloon_mb=0)
+            chaos.Fault(chaos.FAULT_OOM, balloon_mb=0)
 
     def test_install_uninstall(self):
-        plan = chaos.RunnerChaosPlan()
+        plan = chaos.FaultPlan()
         assert chaos.active_plan() is None
         with chaos.injected(plan):
             assert chaos.active_plan() is plan
@@ -374,8 +388,8 @@ class TestChaosPlan:
 class TestReporting:
     def test_report_surfaces_attempts(self, tmp_path, chaos_stub):
         jobs = _jobs(tmp_path / "m", count=2)
-        plan = chaos.RunnerChaosPlan(
-            faults={0: chaos.JobFault(chaos.FAULT_KILL)})
+        plan = chaos.FaultPlan(
+            faults={0: chaos.Fault(chaos.FAULT_KILL)})
         with chaos.injected(plan):
             records, _, _ = _run(jobs, tmp_path / "run", workers=2)
         document = aggregate_records("chaos-stub", jobs, records)
