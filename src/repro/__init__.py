@@ -51,7 +51,7 @@ from repro.core import (
     IterationRecord,
 )
 from repro.coverage import CoverageReport, CoverageRunner, measure_coverage
-from repro.formal import FormalVerifier, FormalWorkerPool, ProofCache
+from repro.formal import FORMAL_ENGINES, FormalVerifier, FormalWorkerPool, ProofCache
 from repro.hdl import Module, parse_module, parse_modules
 from repro.mining import MINE_ENGINES
 from repro.sim import (
@@ -78,6 +78,7 @@ __all__ = [
     "CoverageReport",
     "CoverageRunner",
     "DirectedStimulus",
+    "FORMAL_ENGINES",
     "FormalVerifier",
     "FormalWorkerPool",
     "GoldMine",

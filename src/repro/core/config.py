@@ -102,8 +102,13 @@ class GoldMineConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.random_cycles < 0:
             raise ValueError("random_cycles cannot be negative")
+        from repro.formal.checker import FORMAL_ENGINES
         from repro.sim.base import SIM_ENGINES
 
+        if self.engine not in FORMAL_ENGINES:
+            raise ValueError(
+                f"engine must be one of {FORMAL_ENGINES}, got '{self.engine}'"
+            )
         if self.sim_engine not in SIM_ENGINES:
             raise ValueError(
                 f"sim_engine must be one of {SIM_ENGINES}, got '{self.sim_engine}'"
@@ -124,6 +129,10 @@ class GoldMineConfig:
             )
 
     # ------------------------------------------------------------------
+    def engine_stack(self) -> dict:
+        """The :data:`ENGINE_FIELDS` values, keyed by field name."""
+        return {name: getattr(self, name) for name in ENGINE_FIELDS}
+
     def to_json(self) -> dict:
         """Plain-dict form recorded in run manifests (see :mod:`repro.runner`)."""
         from dataclasses import asdict
@@ -140,3 +149,13 @@ class GoldMineConfig:
 
         known = {f.name for f in fields(GoldMineConfig)}
         return GoldMineConfig(**{k: v for k, v in dict(data).items() if k in known})
+
+
+#: The engine stack: which back end runs each layer and how it executes.
+#: ``python -m repro`` sets these once per run (``RunOptions.config``) and
+#: ships them to every job; each experiment picks its own window,
+#: iteration budget and tree depth.
+ENGINE_FIELDS: tuple[str, ...] = (
+    "sim_engine", "sim_lanes", "engine", "induction_k", "mine_engine",
+    "formal_workers", "formal_proof_cache", "formal_query_timeout", "ir_opt",
+)

@@ -11,11 +11,14 @@ library code with no side effects; the layers above consume them:
 * ``benchmarks/`` — full-scale regeneration with shape validation.
 * ``tests/experiments/`` — scaled-down smoke/shape tests.
 
-Every driver accepts ``sim_engine``/``sim_lanes`` to route the
-bit-parallel batched simulator through data generation, counterexample
-replay and coverage measurement, ``formal_engine`` to pick the formal
-back end, and ``mine_engine`` to pick the A-Miner back end (``rowwise``
-or the bit-parallel ``columnar``); results are engine-independent.
+Every driver takes ``config``, a :class:`~repro.core.config.GoldMineConfig`
+carrying the engine stack: the simulation back end (also used for
+coverage replay), the formal back end and the A-Miner back end, plus how
+each executes.  A driver keeps those fields, sets its own window,
+iteration budget and depth with :func:`dataclasses.replace`, and never
+mutates the caller's object; results are engine-independent::
+
+    fig16_itc99.run(config=GoldMineConfig(sim_engine="batched", mine_engine="columnar"))
 
 | Paper artifact | Driver |
 |----------------|--------|

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.config import GoldMineConfig
@@ -109,10 +109,9 @@ def closure_for_design(design_name: str, outputs: Sequence[str] | None = None,
     """
     meta: DesignInfo = design_info(design_name)
     module = meta.build()
-    if config is None:
-        config = GoldMineConfig(window=window if window is not None else meta.window)
-    elif window is not None:
-        config.window = window
+    if config is None or window is not None:
+        config = replace(config or GoldMineConfig(),
+                         window=window if window is not None else meta.window)
     if outputs is None:
         outputs = list(meta.mining_outputs) or None
     if seed is None and meta.directed_test is not None:
@@ -125,39 +124,30 @@ def closure_for_design(design_name: str, outputs: Sequence[str] | None = None,
 def coverage_of_suite(module: Module,
                       test_suite: Iterable[Sequence[Mapping[str, int]]],
                       fsm_signals: Sequence[str] | None = None,
-                      engine: str = "scalar", lanes: int = 64) -> CoverageReport:
+                      config: GoldMineConfig | None = None) -> CoverageReport:
     """Measure all standard coverage metrics of a test suite on a module.
 
-    ``engine="batched"`` replays up to ``lanes`` sequences of the suite at
-    once on the bit-parallel engine (identical report, much faster for
-    the many short from-reset sequences a refined suite consists of).
+    ``config.sim_engine="batched"`` replays up to ``config.sim_lanes``
+    sequences of the suite at once on the bit-parallel engine (identical
+    report, much faster for the many short from-reset sequences a refined
+    suite consists of).
     """
-    runner = CoverageRunner(module, fsm_signals=fsm_signals, engine=engine, lanes=lanes)
+    config = config or GoldMineConfig()
+    runner = CoverageRunner(module, fsm_signals=fsm_signals,
+                            engine=config.sim_engine, lanes=config.sim_lanes)
     runner.run_suite(test_suite)
     return runner.report()
 
 
 def coverage_of_random(design_name: str, cycles: int, seed: int = 0,
-                       engine: str = "scalar", lanes: int = 64) -> tuple[CoverageReport, int]:
+                       config: GoldMineConfig | None = None) -> tuple[CoverageReport, int]:
     """Coverage achieved by pure random stimulus on a registered design."""
     meta = design_info(design_name)
-    module = meta.build()
-    runner = CoverageRunner(module, fsm_signals=meta.fsm_signals or None,
-                            engine=engine, lanes=lanes)
+    config = config or GoldMineConfig()
+    runner = CoverageRunner(meta.build(), fsm_signals=meta.fsm_signals or None,
+                            engine=config.sim_engine, lanes=config.sim_lanes)
     runner.run_stimulus(RandomStimulus(cycles, seed=seed))
     return runner.report(), runner.cycles_run
-
-
-def refined_suite_coverage(design_name: str, result: ClosureResult,
-                           module: Module | None = None,
-                           engine: str = "scalar", lanes: int = 64) -> CoverageReport:
-    """Coverage of the refined test suite produced by a closure run."""
-    meta = design_info(design_name)
-    module = module if module is not None else meta.build()
-    runner = CoverageRunner(module, fsm_signals=meta.fsm_signals or None,
-                            engine=engine, lanes=lanes)
-    runner.run_suite(result.test_suite)
-    return runner.report()
 
 
 # ----------------------------------------------------------------------

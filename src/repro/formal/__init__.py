@@ -56,7 +56,12 @@ ones.
 """
 
 from repro.formal.bmc import BmcModelChecker
-from repro.formal.checker import FormalVerifier, VerifierStatistics, build_engine
+from repro.formal.checker import (
+    FORMAL_ENGINES,
+    FormalVerifier,
+    VerifierStatistics,
+    build_engine,
+)
 from repro.formal.explicit import ExplicitModelChecker
 from repro.formal.induction import KInductionModelChecker, TieredModelChecker
 from repro.formal.parallel import FormalWorkerPool
@@ -76,6 +81,7 @@ from repro.formal.statespace import StateSpace
 
 __all__ = [
     "BmcModelChecker",
+    "FORMAL_ENGINES",
     "CheckResult",
     "Counterexample",
     "ExplicitModelChecker",

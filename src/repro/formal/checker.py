@@ -43,6 +43,10 @@ from repro.formal.result import (
 )
 from repro.hdl.module import Module
 
+#: Engine names accepted by :func:`build_engine`, :class:`FormalVerifier`
+#: and by the config.
+FORMAL_ENGINES = ("explicit", "bmc", "bmc-fresh", "k-induction", "tiered", "bdd")
+
 
 def build_engine(module: Module, name: str, bound: int = 10,
                  max_states: int = 50_000,
@@ -187,7 +191,7 @@ class FormalVerifier:
     lazily after a close.
     """
 
-    ENGINES = ("explicit", "bmc", "bmc-fresh", "k-induction", "tiered", "bdd")
+    ENGINES = FORMAL_ENGINES
 
     def __init__(self, module: Module, engine: str = "explicit",
                  cross_check_engine: str | None = None,

@@ -29,6 +29,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro import FORMAL_ENGINES, MINE_ENGINES, SIM_ENGINES
+from repro.core.config import ENGINE_FIELDS, GoldMineConfig
 from repro.runner.checkpoint import (
     CheckpointError,
     RunCheckpoint,
@@ -86,11 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
                      action="store_true",
                      help="re-admit quarantined (poisoned/timed_out) and "
                           "budget-exhausted jobs with a fresh retry budget")
-    run.add_argument("--engine", choices=("scalar", "batched"), default="scalar",
+    run.add_argument("--engine", dest="sim_engine", choices=SIM_ENGINES,
+                     default="scalar",
                      help="simulation engine threaded through the pipeline")
-    run.add_argument("--formal-engine", dest="formal_engine",
-                     choices=("explicit", "bmc", "bmc-fresh", "k-induction",
-                              "tiered", "bdd"),
+    run.add_argument("--formal-engine", dest="engine", choices=FORMAL_ENGINES,
                      default="explicit",
                      help="formal back end for candidate verification "
                           "(bmc = incremental SAT with a persistent solver "
@@ -110,22 +111,22 @@ def build_parser() -> argparse.ArgumentParser:
                           "are identical for every worker count); no effect "
                           "under --workers N > 1, whose jobs run in daemonic "
                           "workers and check in-process")
-    run.add_argument("--formal-timeout", dest="formal_timeout", type=float,
+    run.add_argument("--formal-timeout", dest="formal_query_timeout", type=float,
                      default=None, metavar="SECONDS",
                      help="wall-clock budget per formal query (default: "
                           "unbounded); an expired query returns an uncached "
                           "UNKNOWN flagged timed_out instead of hanging, and "
                           "k-induction/tiered degrade to bounded search "
                           "before giving up")
-    run.add_argument("--proof-cache", dest="proof_cache", nargs="?",
+    run.add_argument("--proof-cache", dest="formal_proof_cache", nargs="?",
                      const=True, default=False, metavar="PATH",
                      help="reuse formal verdicts across jobs and runs, "
                           "persisted to PATH (a JSON file; given bare, "
                           "defaults to <artifacts>/proofcache.json)")
-    run.add_argument("--lanes", type=int, default=64,
+    run.add_argument("--lanes", dest="sim_lanes", type=int, default=64,
                      help="lanes per batched-simulation pass (default 64)")
     run.add_argument("--mine-engine", dest="mine_engine",
-                     choices=("rowwise", "columnar"), default="rowwise",
+                     choices=MINE_ENGINES, default="rowwise",
                      help="A-Miner back end (rowwise = per-row dicts, the "
                           "differential baseline; columnar = big-int bitset "
                           "columns with popcount split gains — identical "
@@ -178,22 +179,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
 
-    proof_cache = args.proof_cache
-    if proof_cache is True:
+    stack = {name: getattr(args, name) for name in ENGINE_FIELDS}
+    if stack["formal_proof_cache"] is True:
         # Bare --proof-cache: persist under the artifacts root so every
         # run (and every job of a sweep) shares one verdict store.
-        proof_cache = str(Path(args.artifacts) / "proofcache.json")
-    options = RunOptions(
-        engine=args.engine, lanes=args.lanes, formal_engine=args.formal_engine,
-        induction_k=args.induction_k,
-        formal_workers=args.formal_workers,
-        formal_timeout=args.formal_timeout, proof_cache=proof_cache,
-        mine_engine=args.mine_engine,
-        ir_opt=args.ir_opt,
-        smoke=args.smoke,
-        designs=args.designs, seeds=args.seeds, seed_cycles=args.seed_cycles,
-        max_iterations=args.max_iterations,
-    )
+        stack["formal_proof_cache"] = str(Path(args.artifacts) / "proofcache.json")
+    try:
+        config = GoldMineConfig(**stack)
+    except ValueError as exc:
+        print(f"invalid engine option: {exc}", file=sys.stderr)
+        return 2
+    options = RunOptions(config=config, smoke=args.smoke, designs=args.designs,
+                         seeds=args.seeds, seed_cycles=args.seed_cycles,
+                         max_iterations=args.max_iterations)
     try:
         jobs = spec.expand(options)
     except KeyError as exc:

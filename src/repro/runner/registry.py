@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from repro.core.config import GoldMineConfig
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -55,46 +57,20 @@ class JobSpec:
 class RunOptions:
     """User-facing knobs shared by every experiment (the CLI flags).
 
-    ``engine``/``lanes`` select the simulation back end threaded through
-    every driver (see ``GoldMineConfig.sim_engine``); ``formal_engine``
-    selects the formal back end the refinement loop verifies candidates
-    with (``explicit``, ``bmc`` — the incremental SAT path, ``bmc-fresh``,
-    ``k-induction``, ``tiered``, ``bdd``); ``induction_k`` caps the
-    induction depth of the two unbounded-proof engines (ignored by the
-    rest); ``formal_workers`` fans each run's candidate batches out to
-    that many persistent verification worker processes
-    (``GoldMineConfig.formal_workers`` — results are identical for every
-    count, see :mod:`repro.formal.parallel`) — except under the
-    runner's ``--workers N > 1``, where it has no effect: those jobs run
-    in daemonic pool workers, which may not spawn children, so they check
-    in-process (``FormalVerifier._can_spawn_workers``); ``formal_timeout`` caps
-    each individual formal query's wall clock in seconds (expired
-    queries come back as uncached, ``timed_out`` UNKNOWNs, and the
-    unbounded-proof engines degrade to bounded search first — see
-    ``GoldMineConfig.formal_query_timeout``); ``proof_cache`` enables
-    cross-run verdict reuse (``True`` for in-memory sharing, a path to
-    persist under ``artifacts/``, see :mod:`repro.formal.proofcache`);
-    ``mine_engine`` selects the A-Miner back end (``rowwise``
-    or the bit-parallel ``columnar``, see ``GoldMineConfig.mine_engine``);
-    ``ir_opt`` routes the formal engines and the batched simulator
-    through the netlist IR's optimization passes (structural hashing,
-    constant folding, per-assertion COI slicing — results identical,
-    encodings smaller, see ``GoldMineConfig.ir_opt``);
-    ``smoke`` shrinks workloads to seconds for CI and doc
-    checks; ``designs``/``seeds`` restrict or parameterize the job matrix
-    where an experiment iterates over designs; ``max_iterations``
-    overrides the refinement budget.
+    ``config`` is the engine stack every job runs on: only its
+    :data:`~repro.core.config.ENGINE_FIELDS` reach the jobs (see
+    :class:`~repro.core.config.GoldMineConfig` for what each one does),
+    while each experiment sets its own window, iteration budget and
+    depth.  ``formal_workers`` has no effect under the runner's
+    ``--workers N > 1``: those jobs run in daemonic pool workers, which
+    may not spawn children, so they check in-process.  ``smoke`` shrinks workloads to seconds for CI and doc checks;
+    ``designs``/``seeds`` restrict or parameterize the job matrix where
+    an experiment iterates over designs; ``seed_cycles`` sizes the sweep's
+    random seed stimulus; ``max_iterations`` overrides the refinement
+    budget.
     """
 
-    engine: str = "scalar"
-    lanes: int = 64
-    formal_engine: str = "explicit"
-    induction_k: int = 8
-    formal_workers: int = 1
-    formal_timeout: float | None = None
-    proof_cache: bool | str = False
-    mine_engine: str = "rowwise"
-    ir_opt: bool = False
+    config: GoldMineConfig = field(default_factory=GoldMineConfig)
     smoke: bool = False
     designs: tuple[str, ...] | None = None
     seeds: tuple[int, ...] = (0,)
@@ -104,21 +80,14 @@ class RunOptions:
     def identity(self) -> dict:
         """The option values in effect, recorded in the run manifest.
 
+        Engine fields appear under their ``GoldMineConfig`` names.
         Informational: resume compatibility is decided by the expanded
         job set's signature (see
         :func:`repro.runner.checkpoint.jobs_signature`), so a flag an
         experiment ignores never blocks a resume.
         """
         return {
-            "engine": self.engine,
-            "lanes": self.lanes,
-            "formal_engine": self.formal_engine,
-            "induction_k": self.induction_k,
-            "formal_workers": self.formal_workers,
-            "formal_timeout": self.formal_timeout,
-            "proof_cache": self.proof_cache,
-            "mine_engine": self.mine_engine,
-            "ir_opt": self.ir_opt,
+            **self.config.engine_stack(),
             "smoke": self.smoke,
             "designs": list(self.designs) if self.designs is not None else None,
             "seeds": list(self.seeds),

@@ -15,8 +15,10 @@ studies that have no paper counterpart.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping
 
+from repro.core.config import ENGINE_FIELDS, GoldMineConfig
 from repro.runner.registry import ExperimentSpec, JobSpec, RunOptions, register
 
 
@@ -26,15 +28,21 @@ def _iterations(options: RunOptions, full: int, smoke: int) -> int:
     return smoke if options.smoke else full
 
 
-def _engine_params(options: RunOptions) -> dict:
-    return {"sim_engine": options.engine, "sim_lanes": options.lanes,
-            "formal_engine": options.formal_engine,
-            "induction_k": options.induction_k,
-            "formal_workers": options.formal_workers,
-            "formal_query_timeout": options.formal_timeout,
-            "proof_cache": options.proof_cache,
-            "mine_engine": options.mine_engine,
-            "ir_opt": options.ir_opt}
+def _job_params(options: RunOptions, **params) -> dict:
+    """One job's params: the experiment's own plus the engine stack.
+
+    The engine fields sit flat under their ``GoldMineConfig`` names, so a
+    degraded retry can lower ``sim_lanes``/``formal_workers`` in place
+    (see :mod:`repro.runner.pool`); :func:`_split_config` turns them back
+    into a config.
+    """
+    return {**params, **options.config.engine_stack()}
+
+
+def _split_config(params: Mapping) -> tuple[dict, GoldMineConfig]:
+    """Inverse of :func:`_job_params`: (experiment params, engine config)."""
+    params = dict(params)
+    return params, GoldMineConfig(**{name: params.pop(name) for name in ENGINE_FIELDS})
 
 
 def _reject_designs(options: RunOptions, experiment: str, fixed: str) -> None:
@@ -50,15 +58,16 @@ def _reject_designs(options: RunOptions, experiment: str, fixed: str) -> None:
 # ----------------------------------------------------------------------
 def _fig12_expand(options: RunOptions) -> list[JobSpec]:
     _reject_designs(options, "fig12", "arbiter2")
-    params = {"window": 2, "max_iterations": _iterations(options, 16, 8),
-              **_engine_params(options)}
+    params = _job_params(options, window=2,
+                         max_iterations=_iterations(options, 16, 8))
     return [JobSpec("fig12", "fig12/arbiter2", params)]
 
 
 def _fig12_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig12_arbiter
 
-    result = fig12_arbiter.run(**dict(params))
+    params, config = _split_config(params)
+    result = fig12_arbiter.run(config=config, **params)
     payload = result.as_experiment_result().to_json()
     payload["notes"].append(f"converged={result.converged} "
                             f"assertions={result.assertion_count}")
@@ -81,10 +90,9 @@ def _fig13_expand(options: RunOptions) -> list[JobSpec]:
     jobs = []
     for design in designs:
         for design, output, group in by_design[design]:
-            params = {"subject": [design, output, group], "seed_cycles": 4,
-                      "random_seed": 1,
-                      "max_iterations": _iterations(options, 20, 12),
-                      **_engine_params(options)}
+            params = _job_params(options, subject=[design, output, group],
+                                 seed_cycles=4, random_seed=1,
+                                 max_iterations=_iterations(options, 20, 12))
             jobs.append(JobSpec("fig13", f"fig13/{design}.{output}", params))
     return jobs
 
@@ -92,9 +100,9 @@ def _fig13_expand(options: RunOptions) -> list[JobSpec]:
 def _fig13_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig13_design_space
 
-    params = dict(params)
+    params, config = _split_config(params)
     subject = tuple(params.pop("subject"))
-    result = fig13_design_space.run(subjects=(subject,), **params)
+    result = fig13_design_space.run(subjects=(subject,), config=config, **params)
     cycles = sum(series.test_suite_cycles for series in result.series)
     return result.as_experiment_result().to_json(), cycles
 
@@ -109,9 +117,8 @@ def _fig14_expand(options: RunOptions) -> list[JobSpec]:
                                    smoke_subset=("cex_small", "arbiter2"))
     jobs = []
     for design in designs:
-        params = {"design": design, "seed_cycles": 3, "random_seed": 3,
-                  "max_iterations": _iterations(options, 20, 12),
-                  **_engine_params(options)}
+        params = _job_params(options, design=design, seed_cycles=3, random_seed=3,
+                             max_iterations=_iterations(options, 20, 12))
         jobs.append(JobSpec("fig14", f"fig14/{design}", params))
     return jobs
 
@@ -119,9 +126,9 @@ def _fig14_expand(options: RunOptions) -> list[JobSpec]:
 def _fig14_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig14_expression
 
-    params = dict(params)
+    params, config = _split_config(params)
     design = params.pop("design")
-    result = fig14_expression.run(subjects=(design,), **params)
+    result = fig14_expression.run(subjects=(design,), config=config, **params)
     cycles = sum(series.test_suite_cycles for series in result.series)
     return result.as_experiment_result().to_json(), cycles
 
@@ -131,17 +138,17 @@ def _fig14_execute(params: Mapping) -> tuple[dict, int]:
 # ----------------------------------------------------------------------
 def _fig15_expand(options: RunOptions) -> list[JobSpec]:
     _reject_designs(options, "fig15", "wbstage")
-    params = {"design_name": "wbstage",
-              "random_cycles": 15 if options.smoke else 30,
-              "random_seed": 2, "max_iterations": _iterations(options, 16, 8),
-              **_engine_params(options)}
+    params = _job_params(options, design_name="wbstage",
+                         random_cycles=15 if options.smoke else 30,
+                         random_seed=2, max_iterations=_iterations(options, 16, 8))
     return [JobSpec("fig15", "fig15/wbstage", params)]
 
 
 def _fig15_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig15_high_coverage
 
-    result = fig15_high_coverage.run(**dict(params))
+    params, config = _split_config(params)
+    result = fig15_high_coverage.run(config=config, **params)
     payload = result.as_experiment_result().to_json()
     payload["notes"].append(f"added_test_cycles={result.added_test_cycles}")
     return payload, result.random_cycles + result.added_test_cycles
@@ -157,11 +164,11 @@ def _fig16_expand(options: RunOptions) -> list[JobSpec]:
                                    smoke_subset=("b01", "b02"))
     jobs = []
     for design in designs:
-        params = {"design": design,
-                  "cycles": DEFAULT_CYCLES.get(design, 100),
-                  "random_seed": 13, "goldmine_seed_cycles": 25,
-                  "max_iterations": _iterations(options, 16, 10),
-                  "max_depth": 8, **_engine_params(options)}
+        params = _job_params(options, design=design,
+                             cycles=DEFAULT_CYCLES.get(design, 100),
+                             random_seed=13, goldmine_seed_cycles=25,
+                             max_iterations=_iterations(options, 16, 10),
+                             max_depth=8)
         jobs.append(JobSpec("fig16", f"fig16/{design}", params))
     return jobs
 
@@ -169,10 +176,11 @@ def _fig16_expand(options: RunOptions) -> list[JobSpec]:
 def _fig16_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig16_itc99
 
-    params = dict(params)
+    params, config = _split_config(params)
     design = params.pop("design")
     budget = params.pop("cycles")
-    result = fig16_itc99.run(designs=[design], cycles={design: budget}, **params)
+    result = fig16_itc99.run(designs=[design], cycles={design: budget},
+                             config=config, **params)
     payload = result.as_experiment_result().to_json()
     return payload, sum(row.cycles for row in result.rows)
 
@@ -190,9 +198,8 @@ def _table1_expand(options: RunOptions) -> list[JobSpec]:
     jobs = []
     for design in designs:
         for design, output in by_design[design]:
-            params = {"subject": [design, output],
-                      "max_iterations": _iterations(options, 24, 16),
-                      **_engine_params(options)}
+            params = _job_params(options, subject=[design, output],
+                                 max_iterations=_iterations(options, 24, 16))
             jobs.append(JobSpec("table1", f"table1/{design}.{output}", params))
     return jobs
 
@@ -200,9 +207,9 @@ def _table1_expand(options: RunOptions) -> list[JobSpec]:
 def _table1_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import table1_zero_seed
 
-    params = dict(params)
+    params, config = _split_config(params)
     subject = tuple(params.pop("subject"))
-    result = table1_zero_seed.run(subjects=(subject,), **params)
+    result = table1_zero_seed.run(subjects=(subject,), config=config, **params)
     payload = result.as_experiment_result().to_json()
     series = result.series[0]
     if series.iterations_to_closure is not None:
@@ -217,17 +224,18 @@ def _table1_execute(params: Mapping) -> tuple[dict, int]:
 # ----------------------------------------------------------------------
 def _table2_expand(options: RunOptions) -> list[JobSpec]:
     _reject_designs(options, "table2", "fetch")
-    params = {"design_name": "fetch",
-              "seed_cycles": 12 if options.smoke else 30,
-              "random_seed": 7, "max_iterations": _iterations(options, 16, 8),
-              "mode": "formal", **_engine_params(options)}
+    params = _job_params(options, design_name="fetch",
+                         seed_cycles=12 if options.smoke else 30,
+                         random_seed=7, max_iterations=_iterations(options, 16, 8),
+                         mode="formal")
     return [JobSpec("table2", "table2/fetch", params)]
 
 
 def _table2_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import table2_faults
 
-    result = table2_faults.run(**dict(params))
+    params, config = _split_config(params)
+    result = table2_faults.run(config=config, **params)
     payload = result.as_experiment_result().to_json()
     payload["notes"].append(f"all_detected={result.all_detected}")
     return payload, result.test_suite_cycles
@@ -242,11 +250,10 @@ def _table3_expand(options: RunOptions) -> list[JobSpec]:
     designs = options.pick_designs(DEFAULT_MODULES, smoke_subset=("wbstage",))
     jobs = []
     for design in designs:
-        params = {"module": design,
-                  "baseline_cycles": 200 if options.smoke else 1_000,
-                  "baseline_seed": 11,
-                  "max_iterations": _iterations(options, 16, 10),
-                  **_engine_params(options)}
+        params = _job_params(options, module=design,
+                             baseline_cycles=200 if options.smoke else 1_000,
+                             baseline_seed=11,
+                             max_iterations=_iterations(options, 16, 10))
         jobs.append(JobSpec("table3", f"table3/{design}", params))
     return jobs
 
@@ -254,9 +261,9 @@ def _table3_expand(options: RunOptions) -> list[JobSpec]:
 def _table3_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import table3_rigel
 
-    params = dict(params)
+    params, config = _split_config(params)
     module = params.pop("module")
-    result = table3_rigel.run(modules=(module,), **params)
+    result = table3_rigel.run(modules=(module,), config=config, **params)
     payload = result.as_experiment_result().to_json()
     return payload, sum(row.cycles for row in result.rows)
 
@@ -266,8 +273,8 @@ def _table3_execute(params: Mapping) -> tuple[dict, int]:
 # ----------------------------------------------------------------------
 def _walkthrough_expand(options: RunOptions) -> list[JobSpec]:
     _reject_designs(options, "walkthrough", "arbiter2")
-    params = {"window": 2, "max_iterations": _iterations(options, 16, 8),
-              **_engine_params(options)}
+    params = _job_params(options, window=2,
+                         max_iterations=_iterations(options, 16, 8))
     return [JobSpec("walkthrough", "walkthrough/arbiter2", params)]
 
 
@@ -275,7 +282,8 @@ def _walkthrough_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import arbiter_walkthrough
     from repro.experiments.common import ExperimentResult
 
-    result = arbiter_walkthrough.run(**dict(params))
+    params, config = _split_config(params)
+    result = arbiter_walkthrough.run(config=config, **params)
     payload = ExperimentResult(
         name="walkthrough",
         description="Section 6 worked example: two-port arbiter refinement",
@@ -294,10 +302,9 @@ def _walkthrough_execute(params: Mapping) -> tuple[dict, int]:
 # ----------------------------------------------------------------------
 def _ablation_incremental_expand(options: RunOptions) -> list[JobSpec]:
     _reject_designs(options, "ablation-incremental", "arbiter4")
-    params = {"design_name": "arbiter4", "output": "gnt0",
-              "seed_cycles": 8 if options.smoke else 12, "random_seed": 5,
-              "max_iterations": _iterations(options, 24, 14),
-              **_engine_params(options)}
+    params = _job_params(options, design_name="arbiter4", output="gnt0",
+                         seed_cycles=8 if options.smoke else 12, random_seed=5,
+                         max_iterations=_iterations(options, 24, 14))
     return [JobSpec("ablation-incremental", "ablation-incremental/arbiter4", params)]
 
 
@@ -305,7 +312,8 @@ def _ablation_incremental_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import ablation_incremental
     from repro.experiments.common import ExperimentResult
 
-    result = ablation_incremental.run(**dict(params))
+    params, config = _split_config(params)
+    result = ablation_incremental.run(config=config, **params)
     payload = ExperimentResult(
         name="ablation-incremental",
         description="Incremental vs rebuilt decision trees (ablation E10)",
@@ -332,11 +340,10 @@ def _ablation_engines_expand(options: RunOptions) -> list[JobSpec]:
                                    smoke_subset=("arbiter2",))
     jobs = []
     for design in designs:
-        params = {"design": design, "seed_cycles": 10, "random_seed": 9,
-                  "max_iterations": _iterations(options, 16, 10),
-                  "bmc_bound": 8,
-                  "max_assertions_per_design": 10 if options.smoke else 40,
-                  **_engine_params(options)}
+        params = _job_params(options, design=design, seed_cycles=10, random_seed=9,
+                             max_iterations=_iterations(options, 16, 10),
+                             bmc_bound=8,
+                             max_assertions_per_design=10 if options.smoke else 40)
         jobs.append(JobSpec("ablation-engines", f"ablation-engines/{design}", params))
     return jobs
 
@@ -345,9 +352,9 @@ def _ablation_engines_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import ablation_engines
     from repro.experiments.common import CoverageRow, ExperimentResult
 
-    params = dict(params)
+    params, config = _split_config(params)
     design = params.pop("design")
-    comparisons = ablation_engines.run(designs=(design,), **params)
+    comparisons = ablation_engines.run(designs=(design,), config=config, **params)
     payload = ExperimentResult(
         name="ablation-engines",
         description="Formal back-end comparison (ablation E11)",
@@ -378,37 +385,26 @@ def _sweep_expand(options: RunOptions) -> list[JobSpec]:
     jobs = []
     for design in designs:
         for seed in options.seeds:
-            params = {"design": design, "seed": seed, "seed_cycles": seed_cycles,
-                      "max_iterations": _iterations(options, 24, 12),
-                      **_engine_params(options)}
+            params = _job_params(options, design=design, seed=seed,
+                                 seed_cycles=seed_cycles,
+                                 max_iterations=_iterations(options, 24, 12))
             jobs.append(JobSpec("sweep", f"sweep/{design}/seed{seed}", params))
     return jobs
 
 
 def _sweep_execute(params: Mapping) -> tuple[dict, int]:
-    from repro.core.config import GoldMineConfig
     from repro.core.refinement import CoverageClosure
     from repro.coverage.runner import CoverageRunner
     from repro.designs import info as design_info
     from repro.experiments.common import CoverageRow, ExperimentResult
     from repro.sim.stimulus import RandomStimulus
 
+    params, config = _split_config(params)
     design = params["design"]
     seed = params["seed"]
     meta = design_info(design)
     module = meta.build()
-    config = GoldMineConfig(window=meta.window,
-                            max_iterations=params["max_iterations"],
-                            sim_engine=params["sim_engine"],
-                            sim_lanes=params["sim_lanes"],
-                            engine=params.get("formal_engine", "explicit"),
-                            induction_k=params.get("induction_k", 8),
-                            mine_engine=params.get("mine_engine", "rowwise"),
-                            formal_workers=params.get("formal_workers", 1),
-                            formal_proof_cache=params.get("proof_cache", False),
-                            formal_query_timeout=params.get(
-                                "formal_query_timeout"),
-                            ir_opt=params.get("ir_opt", False))
+    config = replace(config, window=meta.window, max_iterations=params["max_iterations"])
     closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None,
                               config=config)
     seed_cycles = params["seed_cycles"]
@@ -416,7 +412,7 @@ def _sweep_execute(params: Mapping) -> tuple[dict, int]:
     result = closure.run(stimulus)
 
     runner = CoverageRunner(meta.build(), fsm_signals=meta.fsm_signals or None,
-                            engine=params["sim_engine"], lanes=params["sim_lanes"])
+                            engine=config.sim_engine, lanes=config.sim_lanes)
     runner.run_suite(result.test_suite)
     report = runner.report()
 

@@ -22,6 +22,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             GoldMineConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["engine", "sim_engine", "mine_engine"])
+    def test_unknown_engine_names_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be one of"):
+            GoldMineConfig(**{field: "bogus"})
+
 
 class TestTargets:
     def test_single_bit_outputs(self, arbiter2_module):

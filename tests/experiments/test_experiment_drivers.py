@@ -7,8 +7,13 @@ ordinary test suite.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.core.config import ENGINE_FIELDS, GoldMineConfig
+from repro.core.refinement import CoverageClosure
+from repro.coverage.runner import CoverageRunner
 from repro.experiments import (
     ablation_engines,
     ablation_incremental,
@@ -22,6 +27,7 @@ from repro.experiments import (
     table1_zero_seed,
     table3_rigel,
 )
+from repro.runner.registry import RunOptions, experiment_names, get_experiment
 
 
 class TestCommonHelpers:
@@ -29,6 +35,12 @@ class TestCommonHelpers:
         result, module = common.closure_for_design("arbiter2", outputs=["gnt0"])
         assert module.name == "arbiter2"
         assert result.converged
+
+    def test_closure_for_design_leaves_caller_config_alone(self):
+        config = GoldMineConfig(window=1)
+        common.closure_for_design("arbiter2", outputs=["gnt0"], window=2,
+                                  config=config, max_iterations=2)
+        assert config.window == 1
 
     def test_coverage_of_random(self):
         report, cycles = common.coverage_of_random("b01", 40, seed=1)
@@ -121,3 +133,43 @@ class TestNarrativeAndAblations:
         result = fig12_arbiter.run().as_experiment_result()
         assert result.name == "fig12"
         assert "input_space_%" in result.series
+
+
+class TestConfigThreading:
+    """Every driver must hand the runner's engine stack to every closure
+    and coverage replay it builds (``ablation-engines``' own explicit/BMC/
+    BDD checkers are fixed by the ablation and out of scope)."""
+
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_no_driver_drops_the_config(self, name, monkeypatch, tmp_path):
+        stack = GoldMineConfig(sim_engine="batched", sim_lanes=8, engine="tiered",
+                               induction_k=2, mine_engine="columnar",
+                               formal_workers=2,
+                               formal_proof_cache=str(tmp_path / "cache.json"),
+                               formal_query_timeout=60.0, ir_opt=True)
+        defaults = GoldMineConfig()
+        assert all(getattr(stack, field) != getattr(defaults, field)
+                   for field in ENGINE_FIELDS)
+        closures, runners = [], []
+        closure_init = CoverageClosure.__init__
+        runner_init = CoverageRunner.__init__
+        runner_signature = inspect.signature(runner_init)
+
+        def record_closure(self, *args, **kwargs):
+            closure_init(self, *args, **kwargs)
+            closures.append(self.config.engine_stack())
+
+        def record_runner(self, *args, **kwargs):
+            bound = runner_signature.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            runners.append((bound.arguments["engine"], bound.arguments["lanes"]))
+            runner_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoverageClosure, "__init__", record_closure)
+        monkeypatch.setattr(CoverageRunner, "__init__", record_runner)
+        spec = get_experiment(name)
+        for job in spec.expand(RunOptions(smoke=True, max_iterations=1, config=stack)):
+            spec.execute(job.params)
+        assert closures
+        assert all(seen == stack.engine_stack() for seen in closures)
+        assert all(seen == (stack.sim_engine, stack.sim_lanes) for seen in runners)

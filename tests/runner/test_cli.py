@@ -16,7 +16,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.runner import experiment_names
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Experiments whose artifacts the engine-identity tests compare across
+#: engine stacks: fig12 by default, every registered experiment (about a
+#: minute) when ENGINE_IDENTITY_FULL=1, as the CI docs job sets it.
+IDENTITY_EXPERIMENTS = experiment_names() \
+    if os.environ.get("ENGINE_IDENTITY_FULL", "") not in ("", "0") else ["fig12"]
 
 
 def repro_cli(*args: str, cwd: Path | None = None,
@@ -42,6 +50,12 @@ def _stripped_result(run_dir: Path) -> str:
     document = json.loads((run_dir / "result.json").read_text())
     document.pop("jobs", None)  # wall-clock accounting
     return json.dumps(document, sort_keys=True)
+
+
+def _smoke_result(artifacts: Path, name: str, *flags: str) -> str:
+    repro_cli("run", name, "--smoke", *flags, "--artifacts", str(artifacts),
+              "--quiet")
+    return _stripped_result(artifacts / name)
 
 
 class TestList:
@@ -89,6 +103,13 @@ class TestRun:
         assert process.returncode == 2
         assert "unknown experiment" in process.stderr
 
+    def test_invalid_engine_option_exits_2(self, tmp_path):
+        process = repro_cli("run", "fig12", "--lanes", "0",
+                            "--artifacts", str(tmp_path), check=False)
+        assert process.returncode == 2
+        assert "sim_lanes must be at least 1" in process.stderr
+        assert not (tmp_path / "fig12").exists()
+
     def test_fixed_subject_rejects_designs(self, tmp_path):
         """fig15 always runs wbstage; --designs must error, not be ignored."""
         process = repro_cli("run", "fig15", "--designs", "b01",
@@ -123,28 +144,20 @@ class TestRun:
                             "--artifacts", str(tmp_path))
         assert "resume: 1/1 jobs already complete" in process.stderr
 
-    def test_engine_batched_matches_scalar(self, tmp_path):
-        repro_cli("run", "fig12", "--artifacts", str(tmp_path / "scalar"),
-                  "--quiet")
-        repro_cli("run", "fig12", "--engine", "batched", "--lanes", "16",
-                  "--artifacts", str(tmp_path / "batched"), "--quiet")
-        scalar = json.loads((tmp_path / "scalar" / "fig12" / "result.json").read_text())
-        batched = json.loads((tmp_path / "batched" / "fig12" / "result.json").read_text())
-        assert scalar["series"] == batched["series"]
+    @pytest.mark.parametrize("name", IDENTITY_EXPERIMENTS)
+    def test_engine_batched_matches_scalar(self, tmp_path, name):
+        """The batched simulator (with the IR passes) must not change any
+        artifact data."""
+        assert _smoke_result(tmp_path / "scalar", name) == _smoke_result(
+            tmp_path / "batched", name, "--engine", "batched", "--lanes", "16",
+            "--ir-opt")
 
-    def test_mine_engine_columnar_matches_rowwise(self, tmp_path):
+    @pytest.mark.parametrize("name", IDENTITY_EXPERIMENTS)
+    def test_mine_engine_columnar_matches_rowwise(self, tmp_path, name):
         """--mine-engine columnar must not change any artifact data."""
-        repro_cli("run", "fig12", "--artifacts", str(tmp_path / "rowwise"),
-                  "--quiet")
-        repro_cli("run", "fig12", "--mine-engine", "columnar", "--engine",
-                  "batched", "--lanes", "16",
-                  "--artifacts", str(tmp_path / "columnar"), "--quiet")
-        rowwise = json.loads(
-            (tmp_path / "rowwise" / "fig12" / "result.json").read_text())
-        columnar = json.loads(
-            (tmp_path / "columnar" / "fig12" / "result.json").read_text())
-        assert rowwise["series"] == columnar["series"]
-        assert rowwise["notes"] == columnar["notes"]
+        assert _smoke_result(tmp_path / "rowwise", name) == _smoke_result(
+            tmp_path / "columnar", name, "--mine-engine", "columnar",
+            "--engine", "batched", "--lanes", "16", "--ir-opt")
 
     def test_mine_engine_recorded_in_manifest(self, tmp_path):
         repro_cli("run", "fig12", "--mine-engine", "columnar",
