@@ -1,4 +1,4 @@
-"""Static analysis of designs: dependency graphs, logic cones, unrolling.
+"""Static analysis of designs: logic cones and unrolling.
 
 This is GoldMine's "static analyzer" component (Section 2.2): it extracts
 the logic cone of influence of every output so the data-mining phase only
@@ -7,7 +7,6 @@ window for the symbolic formal engines.
 """
 
 from repro.analysis.cone import combinational_cone, cone_of_influence, windowed_cone
-from repro.analysis.depgraph import dependency_graph, structural_graph
 from repro.analysis.unroll import Unroller, bit_variable
 
 __all__ = [
@@ -15,7 +14,5 @@ __all__ = [
     "bit_variable",
     "combinational_cone",
     "cone_of_influence",
-    "dependency_graph",
-    "structural_graph",
     "windowed_cone",
 ]

@@ -21,7 +21,6 @@ class GoldMineConfig:
       visible to the miner (Section 3.1's "flat single-cycle picture").
     * ``engine`` — formal back end: ``explicit`` (exact, default), ``bmc``
       (incremental SAT, one persistent solver context per design),
-      ``bmc-fresh`` (cold solver per query, the differential baseline),
       ``k-induction`` (BMC base case + simple-path inductive step, proves
       assertions *unbounded*), ``tiered`` (portfolio: BMC falsification
       tier, then induction escalation for proof) or ``bdd``.

@@ -11,8 +11,8 @@ fails:
   inductive proof step, built on the in-house CDCL solver.  Runs
   incrementally by default: one persistent solver context per design,
   activation-literal queries, learned clauses carried across the whole
-  candidate batch (``incremental=False`` restores the historical
-  cold-solver path, exposed as the ``bmc-fresh`` engine name).
+  candidate batch (``BmcModelChecker(incremental=False)`` keeps the
+  historical cold-solver path as the witness-identity reference).
 * :mod:`repro.formal.bdd_engine` — BDD-based symbolic reachability with
   ring-by-ring counterexample reconstruction.
 * :mod:`repro.formal.induction` — strengthened k-induction on the same

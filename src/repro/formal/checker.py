@@ -45,7 +45,7 @@ from repro.hdl.module import Module
 
 #: Engine names accepted by :func:`build_engine`, :class:`FormalVerifier`
 #: and by the config.
-FORMAL_ENGINES = ("explicit", "bmc", "bmc-fresh", "k-induction", "tiered", "bdd")
+FORMAL_ENGINES = ("explicit", "bmc", "k-induction", "tiered", "bdd")
 
 
 def build_engine(module: Module, name: str, bound: int = 10,
@@ -77,9 +77,6 @@ def build_engine(module: Module, name: str, bound: int = 10,
         )
     if name == "bmc":
         return BmcModelChecker(module, bound=bound, incremental=True,
-                               query_timeout=query_timeout, ir_opt=ir_opt)
-    if name == "bmc-fresh":
-        return BmcModelChecker(module, bound=bound, incremental=False,
                                query_timeout=query_timeout, ir_opt=ir_opt)
     if name == "k-induction":
         return KInductionModelChecker(module, bound=bound,
@@ -171,15 +168,13 @@ class FormalVerifier:
     """Checks candidate assertions against a design using a chosen engine.
 
     ``bmc`` runs the incremental SAT path (one persistent solver context
-    per unrolling, activation-literal queries); ``bmc-fresh`` is the
-    historical cold-solver variant kept for differential testing and
-    benchmarking.  Both produce identical verdicts and counterexample
-    windows.  ``k-induction`` adds the simple-path inductive step on a
-    second persistent context (``induction_k`` caps the induction depth)
-    so surviving assertions become real ``unbounded`` proofs, and
-    ``tiered`` is the portfolio — full BMC falsification tier first,
-    induction escalation for proof — with verdicts and counterexamples
-    identical to both tiers run independently.
+    per unrolling, activation-literal queries).  ``k-induction`` adds the
+    simple-path inductive step on a second persistent context
+    (``induction_k`` caps the induction depth) so surviving assertions
+    become real ``unbounded`` proofs, and ``tiered`` is the portfolio —
+    full BMC falsification tier first, induction escalation for proof —
+    with verdicts and counterexamples identical to both tiers run
+    independently.
 
     ``workers`` selects how checks execute: ``1`` (default) runs the
     engine in-process, ``> 1`` fans batches out to that many persistent
@@ -279,7 +274,7 @@ class FormalVerifier:
         # k-induction (sliced simple-path constraints prove more), so
         # sliced and unsliced entries must never alias in the cache.
         ir_suffix = ":ir" if self._engine_kwargs.get("ir_opt") else ""
-        if self.engine_name in ("bmc", "bmc-fresh"):
+        if self.engine_name == "bmc":
             return (f"{self.engine_name}:bound={self._engine_kwargs['bound']}"
                     f"{ir_suffix}")
         if self.engine_name in ("k-induction", "tiered"):

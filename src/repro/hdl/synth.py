@@ -28,9 +28,7 @@ combinational targets (the bundled designs never rely on latches, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
-
-import networkx as nx
+from typing import Hashable, Iterable, Mapping
 
 from repro.hdl.ast import BinaryOp, Const, Expr, Ref, Ternary, disjoin
 from repro.hdl.errors import ElaborationError
@@ -227,18 +225,49 @@ def _merge(cond: Expr, then_env: Mapping[str, Expr], else_env: Mapping[str, Expr
     return merged
 
 
+def topological_order(nodes: Iterable[Hashable],
+                      edges: Iterable[tuple[Hashable, Hashable]]) -> list | None:
+    """Order ``nodes`` so every edge ``(u, v)`` puts ``u`` before ``v``.
+
+    Returns ``None`` when the edges form a cycle.  Kahn's algorithm by
+    generations: the first generation in node order, each later one in
+    the order its nodes became ready, successors visited in edge order (a
+    repeated edge counts once).  This pins the exact order the bit-blast,
+    unrolling and batched-simulation layers read from ``comb_order``.
+    """
+    successors: dict = {node: {} for node in nodes}
+    for source, target in edges:
+        successors[source][target] = None
+    indegree = dict.fromkeys(successors, 0)
+    for targets in successors.values():
+        for target in targets:
+            indegree[target] += 1
+    order = [node for node, degree in indegree.items() if degree == 0]
+    for node in order:  # appending while iterating keeps generation order
+        for child in successors[node]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                order.append(child)
+    return order if len(order) == len(successors) else None
+
+
 def _order_combinational(module: Module, comb: Mapping[str, Expr]) -> list[str]:
     """Topologically order combinational targets; raise on true cycles."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(comb)
-    for name, expr in comb.items():
-        for dependency in expr.signals():
-            if dependency in comb and dependency != name:
-                graph.add_edge(dependency, name)
-    try:
-        return list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible as exc:
-        cycles = list(nx.simple_cycles(graph))
-        raise ElaborationError(
-            f"combinational cycle in module '{module.name}': {cycles[:3]}"
-        ) from exc
+    reads = {name: {dep for dep in expr.signals() if dep in comb and dep != name}
+             for name, expr in comb.items()}
+    order = topological_order(comb, ((dep, name) for name in comb
+                                     for dep in reads[name]))
+    if order is not None:
+        return order
+    # Peel off everything that can be ordered; each node left reads another
+    # node left, so walking back through reads must close a cycle.
+    while ready := [name for name, deps in reads.items() if not deps & reads.keys()]:
+        for name in ready:
+            del reads[name]
+    path = [min(reads)]
+    while path[-1] not in path[:-1]:
+        path.append(min(reads[path[-1]] & reads.keys()))
+    cycle = path[path.index(path[-1]):][::-1]
+    raise ElaborationError(
+        f"combinational cycle in module '{module.name}': {' -> '.join(cycle)}"
+    )

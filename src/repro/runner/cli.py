@@ -95,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="explicit",
                      help="formal back end for candidate verification "
                           "(bmc = incremental SAT with a persistent solver "
-                          "context; bmc-fresh = cold solver per query; "
-                          "k-induction = BMC base case + simple-path "
+                          "context; k-induction = BMC base case + simple-path "
                           "inductive step, proves assertions unbounded; "
                           "tiered = BMC falsification tier, then induction "
                           "escalation for proof)")

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from repro.hdl.ast import mask
 from repro.hdl.errors import HdlError
 from repro.hdl.module import (
@@ -35,6 +33,7 @@ from repro.hdl.module import (
     ProcessKind,
 )
 from repro.hdl.stmt import Assign, Block, Case, If, Statement
+from repro.hdl.synth import topological_order
 from repro.sim.base import SimulatorBase
 from repro.sim.observer import Observer
 from repro.sim.stimulus import Stimulus
@@ -145,10 +144,6 @@ class Simulator(SimulatorBase):
         constructs.extend(
             p for p in self.module.processes if p.kind is ProcessKind.COMBINATIONAL
         )
-        if not constructs:
-            return []
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(len(constructs)))
         writes: list[set[str]] = []
         reads: list[set[str]] = []
         for construct in constructs:
@@ -158,22 +153,18 @@ class Simulator(SimulatorBase):
             else:
                 writes.append(construct.assigned_signals())
                 reads.append(construct.read_signals())
-        for i in range(len(constructs)):
-            for j in range(len(constructs)):
-                if i != j and writes[i] & reads[j]:
-                    graph.add_edge(i, j)
-        try:
-            order = list(nx.topological_sort(graph))
-            self._comb_has_cycle = False
-        except nx.NetworkXUnfeasible:
-            order = list(range(len(constructs)))
-            self._comb_has_cycle = True
-        return [constructs[i] for i in order]
+        indices = range(len(constructs))
+        order = topological_order(indices, ((i, j) for i in indices for j in indices
+                                            if i != j and writes[i] & reads[j]))
+        # A false cycle (constructs depend on each other, signals do not)
+        # keeps construct order and settles by fixpoint iteration.
+        self._comb_has_cycle = order is None
+        return [constructs[i] for i in (indices if order is None else order)]
 
     def _settle_combinational(self) -> None:
         if not self._comb_constructs:
             return
-        passes = MAX_SETTLE_ITERATIONS if getattr(self, "_comb_has_cycle", False) else 1
+        passes = MAX_SETTLE_ITERATIONS if self._comb_has_cycle else 1
         for iteration in range(passes):
             before = dict(self._values)
             for construct in self._comb_constructs:
@@ -183,7 +174,7 @@ class Simulator(SimulatorBase):
                     self._execute_block(construct.body, pending=None)
             if self._values == before:
                 return
-        if getattr(self, "_comb_has_cycle", False):
+        if self._comb_has_cycle:
             raise SimulationError(
                 f"combinational logic in '{self.module.name}' did not settle "
                 f"after {MAX_SETTLE_ITERATIONS} iterations"

@@ -118,13 +118,11 @@ class TestIncrementalVsFresh:
 
 
 class TestVerifierBatchPath:
-    def test_bmc_fresh_engine_selectable(self, arbiter2_module):
-        verifier = FormalVerifier(arbiter2_module, engine="bmc-fresh", bound=6)
-        assertions = random_assertions(arbiter2_module, 4, seed=2)
-        reference = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
-        for assertion in assertions:
-            assert (verifier.check(assertion).verdict
-                    is reference.check(assertion).verdict)
+    def test_bmc_fresh_engine_name_is_rejected(self, arbiter2_module):
+        """The non-incremental path is reachable only as
+        ``BmcModelChecker(incremental=False)``, not as an engine name."""
+        with pytest.raises(ValueError, match="bmc-fresh"):
+            FormalVerifier(arbiter2_module, engine="bmc-fresh", bound=6)
 
     def test_check_all_caches_like_sequential_checks(self, arbiter2_module):
         assertions = random_assertions(arbiter2_module, 5, seed=4)
@@ -152,25 +150,17 @@ class TestVerifierBatchPath:
 
 class TestClosureWithIncrementalEngine:
     def test_refinement_converges_and_stays_sound(self, arbiter2_module):
-        """Both BMC paths close the loop, and everything the incremental
-        path proves is confirmed by the exact explicit engine.
-
-        The closed-loop *trajectories* may legitimately differ: a refuted
-        candidate's counterexample is whatever model the solver returns,
-        and different (equally correct) witnesses steer the miner to
-        different — but always true — final assertions.
-        """
+        """The incremental BMC engine closes the loop, and everything it
+        proves is confirmed by the exact explicit engine."""
         explicit = FormalVerifier(arbiter2_module, engine="explicit")
-        for engine in ("bmc", "bmc-fresh"):
-            config = GoldMineConfig(window=2, engine=engine,
-                                    random_cycles=20, random_seed=3)
-            closure = CoverageClosure(arbiter2_module, config=config)
-            result = closure.run(RandomStimulus(20, seed=3), max_iterations=6)
-            assert result.converged
-            for assertion in result.all_true_assertions:
-                assert explicit.check(assertion).verdict is Verdict.TRUE
-            if engine == "bmc":
-                assert result.formal_reuse["queries"] > 0
+        config = GoldMineConfig(window=2, engine="bmc",
+                                random_cycles=20, random_seed=3)
+        closure = CoverageClosure(arbiter2_module, config=config)
+        result = closure.run(RandomStimulus(20, seed=3), max_iterations=6)
+        assert result.converged
+        for assertion in result.all_true_assertions:
+            assert explicit.check(assertion).verdict is Verdict.TRUE
+        assert result.formal_reuse["queries"] > 0
 
     def test_formal_reuse_round_trips_through_json(self, arbiter2_module):
         from repro.core.results import ClosureResult

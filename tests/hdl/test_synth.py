@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hdl.ast import DictContext
 from repro.hdl.errors import ElaborationError
 from repro.hdl.parser import parse_module
-from repro.hdl.synth import synthesize
+from repro.hdl.synth import synthesize, topological_order
 from repro.sim.simulator import Simulator
 
 
@@ -115,8 +115,32 @@ class TestBasicSynthesis:
               assign y = q;
             endmodule
         """)
-        with pytest.raises(ElaborationError):
+        # The message names the signals on the cycle: p and q, not y.
+        with pytest.raises(ElaborationError, match=r"(?=.*\bp\b)(?=.*\bq\b)(?!.*\by\b)"):
             synthesize(module)
+
+
+class TestTopologicalOrder:
+    """The order ``comb_order`` is read in by bit-blasting, unrolling and
+    batched simulation; these pin it generation by generation."""
+
+    def test_first_generation_keeps_node_order(self):
+        assert topological_order("dcba", []) == ["d", "c", "b", "a"]
+
+    def test_later_generations_follow_readiness_order(self):
+        # Breadth by generation: b is placed before a's child c.
+        assert topological_order("abcd", [("b", "d"), ("a", "c")]) == [
+            "a", "b", "c", "d"]
+
+    def test_successors_follow_edge_order(self):
+        assert topological_order("abcd", [("a", "d"), ("a", "c"), ("c", "b")]) == [
+            "a", "d", "c", "b"]
+
+    def test_repeated_edge_counts_once(self):
+        assert topological_order("ab", [("a", "b"), ("a", "b")]) == ["a", "b"]
+
+    def test_cycle_returns_none(self):
+        assert topological_order("abc", [("a", "b"), ("b", "c"), ("c", "b")]) is None
 
 
 class TestSynthesisMatchesSimulation:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.hdl.ast import DictContext
 from repro.hdl.parser import parse_module
+from repro.hdl.synth import synthesize
 from repro.sim.observer import Observer
 from repro.sim.simulator import SimulationError, Simulator, simulate
 from repro.sim.stimulus import DirectedStimulus, RandomStimulus
@@ -121,6 +123,29 @@ class TestSemantics:
         simulator.reset()
         assert simulator.step({"a": 1})["y"] == 1
         assert simulator.step({"a": 0})["y"] == 0
+
+    def test_false_cycle_settles_by_fixpoint(self):
+        """Constructs that depend on each other while their signals do not
+        (the always block writes x, read by the assign, and reads y, written
+        by it) keep construct order and settle by fixpoint iteration."""
+        module = parse_module("""
+            module m(a, x, y, z); input a; output x, y, z; reg x, z;
+              assign y = x & a;
+              always @(*) begin x = a; z = y; end
+            endmodule
+        """)
+        simulator = Simulator(module)
+        assert simulator._comb_has_cycle
+        trace = simulator.run_vectors([{"a": 1}, {"a": 0}, {"a": 1}])
+        synth = synthesize(module)
+        for cycle, a in enumerate((1, 0, 1)):
+            row = trace.cycle(cycle)
+            assert row["x"] == row["y"] == row["z"] == a
+            values = {"a": a}
+            for name in synth.comb_order:
+                values[name] = synth.comb[name].evaluate(DictContext(values))
+            assert {name: row[name] for name in synth.comb} == {
+                name: values[name] for name in synth.comb}
 
     def test_case_default_branch(self):
         module = parse_module("""

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import repro
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import repro
+print("\\n".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
 
 
 class TestPublicApi:
@@ -15,6 +26,18 @@ class TestPublicApi:
         # never has to edit this file.
         assert "__version__" in repro.__all__
         assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+    def test_import_loads_only_the_standard_library(self):
+        """``import repro`` pulls in no third-party package (numpy is lazy)."""
+        package_root = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                                capture_output=True, text=True, check=True)
+        loaded = set(result.stdout.split())
+        third_party = loaded - {"repro"} - set(sys.stdlib_module_names)
+        assert "repro" in loaded and not third_party, sorted(third_party)
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
