@@ -1,19 +1,19 @@
-"""Columnar vs row-wise A-Miner tree-induction throughput.
+"""Columnar A-Miner vs the row-wise reference: divergence gate + throughput.
 
 Generates one lane-parallel random dataset per fig13/fig16 mining subject
 (the workloads where tree induction dominates wall-clock), builds the
-decision tree with the historical row-wise engine (per-row feature dicts)
-and the columnar engine (big-int bitset columns, popcount split gains),
-and emits the machine-readable ``BENCH_mining.json`` artifact via
-:func:`_utils.write_bench_json`.  The columnar dataset is constructed
-zero-copy from the batched simulator's lane words
-(:func:`repro.sim.batched.random_batch_block`), so the measured pipeline
-is the one a ``GoldMine.mine()`` data-generation pass with
-``GoldMineConfig(sim_engine="batched", mine_engine="columnar")`` runs.
+decision tree with the row-wise reference miner (per-row feature dicts,
+kept only as the oracle) and the columnar production miner (big-int
+bitset columns, popcount split gains), and emits the machine-readable
+``BENCH_mining.json`` artifact via :func:`_utils.write_bench_json`.  The
+columnar dataset is constructed zero-copy from the batched simulator's
+lane words (:func:`repro.sim.batched.random_batch_block`), so the
+measured pipeline is the one a ``GoldMine.mine()`` data-generation pass
+with ``GoldMineConfig(sim_engine="batched")`` runs.
 
 Shape requirements:
 
-* the two engines produce node-for-node identical trees and identical
+* the two miners produce node-for-node identical trees and identical
   candidate assertion sets on every workload (any divergence fails the
   benchmark — this is the CI mining-perf-smoke contract);
 * at full scale, tree induction is at least 5x faster columnar on at

@@ -22,9 +22,8 @@ The main entry points are:
   the scalar interpreter (``engine="scalar"``) or the bit-parallel
   batched engine (``engine="batched"``), both behind
   :class:`repro.sim.SimulatorBase`.
-* :class:`repro.core.GoldMine` — a single assertion-mining pass; the
-  A-Miner itself runs row-wise or columnar/bit-parallel
-  (``GoldMineConfig(mine_engine=...)``, :mod:`repro.mining`).
+* :class:`repro.core.GoldMine` — a single assertion-mining pass on the
+  bit-parallel columnar A-Miner (:mod:`repro.mining`).
 * :class:`repro.core.CoverageClosure` — the paper's counterexample-guided
   refinement loop producing assertions + validation stimulus
   (serializable via :meth:`repro.core.ClosureResult.to_json`).
@@ -53,7 +52,6 @@ from repro.core import (
 from repro.coverage import CoverageReport, CoverageRunner, measure_coverage
 from repro.formal import FORMAL_ENGINES, FormalVerifier, FormalWorkerPool, ProofCache
 from repro.hdl import Module, parse_module, parse_modules
-from repro.mining import MINE_ENGINES
 from repro.sim import (
     SIM_ENGINES,
     BatchedSimulator,
@@ -85,7 +83,6 @@ __all__ = [
     "GoldMineConfig",
     "IterationRecord",
     "Literal",
-    "MINE_ENGINES",
     "Module",
     "ProofCache",
     "RandomStimulus",

@@ -16,7 +16,7 @@ back into per-cycle input vectors for counterexample replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.assertions.assertion import Assertion, Literal
 from repro.boolean.bitblast import BitBlaster
@@ -149,34 +149,10 @@ class Unroller:
     """
 
     def __init__(self, module: Module, synth: SynthesizedModule | None = None,
-                 constrain_reset: bool = True, cache: bool = True,
-                 slice_signals: Iterable[str] | None = None,
-                 constant_registers: Mapping[str, int] | None = None):
+                 constrain_reset: bool = True, cache: bool = True):
         self.module = module
         self.synth = synth or synthesize(module)
         self.constrain_reset = constrain_reset
-        #: COI slice (from :meth:`repro.ir.netlist.OptimizedDesign.slice_for`):
-        #: only these signals are built.  The slice must be closed under
-        #: bit-level use-def reachability — signals outside it are read as
-        #: constant zero by the blaster fallback, which is only correct when
-        #: nothing in the slice's cone actually depends on them.
-        self.slice_signals = (frozenset(slice_signals)
-                              if slice_signals is not None else None)
-        #: Registers the IR constant-folding pass proved stuck at their
-        #: reset values.  Applied in the *from-reset* unrolling only: their
-        #: bits become constants at every cycle instead of blasted
-        #: next-state functions.  The free-initial-state unrolling keeps
-        #: them as ordinary registers (an arbitrary state need not respect
-        #: the fold's induction-from-reset argument).
-        self.constant_registers = dict(constant_registers or {})
-        if self.slice_signals is None:
-            self._registers = list(self.synth.registers)
-            self._comb_order = list(self.synth.comb_order)
-        else:
-            self._registers = [name for name in self.synth.registers
-                               if name in self.slice_signals]
-            self._comb_order = [name for name in self.synth.comb_order
-                                if name in self.slice_signals]
         self._cache: dict[bool, UnrolledDesign] | None = {} if cache else None
 
     # ------------------------------------------------------------------
@@ -206,8 +182,6 @@ class Unroller:
             for name in module.input_names:
                 if name in skip_inputs:
                     continue
-                if self.slice_signals is not None and name not in self.slice_signals:
-                    continue
                 width = module.width_of(name)
                 if name == module.reset and self.constrain_reset:
                     design.bits[(name, cycle)] = [FALSE] * width
@@ -223,14 +197,8 @@ class Unroller:
             # expressions sharing HDL subtrees blast them once.
             previous_blaster = (self._blaster_for_cycle(design, cycle - 1)
                                 if cycle > 0 else None)
-            for name in self._registers:
+            for name in self.synth.registers:
                 width = module.width_of(name)
-                if from_reset and name in self.constant_registers:
-                    value = self.constant_registers[name]
-                    design.bits[(name, cycle)] = [
-                        TRUE if (value >> bit) & 1 else FALSE for bit in range(width)
-                    ]
-                    continue
                 if cycle == 0:
                     if from_reset:
                         reset_value = module.signal(name).reset_value
@@ -250,7 +218,7 @@ class Unroller:
 
             # 3. Combinational signals in dependency order.
             blaster = self._blaster_for_cycle(design, cycle)
-            for name in self._comb_order:
+            for name in self.synth.comb_order:
                 width = module.width_of(name)
                 design.bits[(name, cycle)] = blaster.blast(self.synth.comb[name], width)
 
@@ -274,16 +242,16 @@ class Unroller:
             else:
                 design.bits[(name, 0)] = [var(bit_variable(name, bit, 0))
                                           for bit in range(width)]
-        for name in self._registers:
+        for name in self.synth.registers:
             width = module.width_of(name)
             design.bits[(name, 0)] = [var(bit_variable(name, bit, 0)) for bit in range(width)]
         blaster = self._blaster_for_cycle(design, 0)
-        for name in self._comb_order:
+        for name in self.synth.comb_order:
             design.bits[(name, 0)] = blaster.blast(
                 self.synth.comb[name], module.width_of(name)
             )
         functions: dict[str, list[BoolExpr]] = {}
-        for name in self._registers:
+        for name in self.synth.registers:
             functions[name] = blaster.blast(
                 self.synth.next_state[name], module.width_of(name)
             )

@@ -37,15 +37,10 @@ class GoldMineConfig:
       independent trials per step).  The batched engine splits the
       random-cycle budget across lanes (many short from-reset runs
       instead of one long one), which both speeds up data generation by
-      orders of magnitude and diversifies the mining dataset.
-    * ``mine_engine`` — A-Miner back end: ``rowwise`` (per-row feature
-      dicts, the differential baseline) or ``columnar`` (big-int bitset
-      columns with popcount split gains, :mod:`repro.mining.columnar`).
-      Both engines produce node-for-node identical decision trees and
-      identical candidate assertions; the columnar engine is just much
-      faster.  In a :meth:`~repro.core.goldmine.GoldMine.mine` pass with
-      ``sim_engine="batched"``, the random data-generator additionally
-      hands the columnar miner its lane-packed words zero-copy.
+      orders of magnitude and diversifies the mining dataset.  In a
+      :meth:`~repro.core.goldmine.GoldMine.mine` pass the batched data
+      generator hands its lane-packed words to the columnar A-Miner
+      (:mod:`repro.mining.columnar`) without widening them to traces.
     * ``formal_workers`` — process parallelism of the formal stage: ``1``
       checks candidates in-process, ``N > 1`` shards every batch across
       ``N`` persistent model-checking worker processes
@@ -58,12 +53,6 @@ class GoldMineConfig:
       string additionally persists them to that JSON file (conventionally
       under ``artifacts/``) so sweeps across seeds/jobs stop re-proving
       identical candidates.  Cache hits reproduce byte-identical results.
-    * ``ir_opt`` — route both the formal engines and the batched
-      simulator through the bit-level netlist IR (:mod:`repro.ir`):
-      structural hashing, constant-register folding, and per-assertion
-      cone-of-influence slicing of the SAT encodings.  Verdicts,
-      counterexamples, and mined assertions are identical with the flag
-      on or off; only encoding size and runtime change.
     * ``formal_query_timeout`` — optional wall-clock budget in seconds
       for each individual formal query (``None`` = unbounded, the
       default).  On expiry the SAT engines abandon the query and report
@@ -88,11 +77,9 @@ class GoldMineConfig:
     max_input_combinations: int = 4_096
     sim_engine: str = "scalar"
     sim_lanes: int = 64
-    mine_engine: str = "rowwise"
     formal_workers: int = 1
     formal_proof_cache: bool | str = False
     formal_query_timeout: float | None = None
-    ir_opt: bool = False
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -120,12 +107,6 @@ class GoldMineConfig:
             raise ValueError("formal_query_timeout must be positive when set")
         if self.induction_k < 0:
             raise ValueError("induction_k cannot be negative")
-        from repro.mining import MINE_ENGINES
-
-        if self.mine_engine not in MINE_ENGINES:
-            raise ValueError(
-                f"mine_engine must be one of {MINE_ENGINES}, got '{self.mine_engine}'"
-            )
 
     # ------------------------------------------------------------------
     def engine_stack(self) -> dict:
@@ -155,6 +136,6 @@ class GoldMineConfig:
 #: ships them to every job; each experiment picks its own window,
 #: iteration budget and tree depth.
 ENGINE_FIELDS: tuple[str, ...] = (
-    "sim_engine", "sim_lanes", "engine", "induction_k", "mine_engine",
-    "formal_workers", "formal_proof_cache", "formal_query_timeout", "ir_opt",
+    "sim_engine", "sim_lanes", "engine", "induction_k",
+    "formal_workers", "formal_proof_cache", "formal_query_timeout",
 )

@@ -29,7 +29,7 @@ from repro.formal.proofcache import ProofCache
 from repro.formal.result import CheckResult
 from repro.hdl.module import Module
 from repro.hdl.synth import SynthesizedModule, synthesize
-from repro.mining import create_dataset, create_decision_tree
+from repro.mining import ColumnarDataset, create_decision_tree
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus, Stimulus
 from repro.sim.trace import Trace
@@ -77,7 +77,6 @@ class GoldMine:
             workers=self.config.formal_workers,
             proof_cache=ProofCache.resolve(self.config.formal_proof_cache),
             query_timeout=self.config.formal_query_timeout,
-            ir_opt=self.config.ir_opt,
         )
 
     # ------------------------------------------------------------------
@@ -91,26 +90,6 @@ class GoldMine:
                                       bias=self.config.input_bias)
         simulator = Simulator(self.module)
         return simulator.run(stimulus)
-
-    def generate_traces(self, stimulus: Stimulus | None = None) -> list[Trace]:
-        """Run the data-generator phase on the configured simulation engine.
-
-        With ``sim_engine="scalar"`` (or an explicit ``stimulus``) this is
-        one interpreted run.  With ``sim_engine="batched"`` the random
-        cycle budget is split across up to ``sim_lanes`` independent
-        from-reset trials simulated bit-parallel, returning one trace per
-        lane; each lane must still span at least one mining window.
-        """
-        if stimulus is not None or self.config.sim_engine != "batched":
-            return [self.generate_data(stimulus)]
-        from repro.sim.batched import random_batch_traces
-
-        per_lane, lanes = self._batch_shape()
-        return random_batch_traces(
-            self.module, per_lane, lanes=lanes,
-            seed=self.config.random_seed, bias=self.config.input_bias,
-            ir_opt=self.config.ir_opt,
-        )
 
     def _batch_shape(self) -> tuple[int, int]:
         """(cycles per lane, lanes) for the batched data generator.
@@ -126,27 +105,26 @@ class GoldMine:
         return per_lane, lanes
 
     def generate_mining_data(self, stimulus: Stimulus | None = None):
-        """Data-generator phase in whatever form the miner consumes best.
+        """Data-generator phase in the form the miner consumes.
 
-        Returns a list of traces — except when both the batched simulator
-        and the columnar miner are selected, where it returns the
-        :class:`~repro.sim.batched.LaneWordBlock` of lane-packed words so
+        An explicit ``stimulus``, or ``sim_engine="scalar"``, gives one
+        interpreted run as a one-trace list.  With ``sim_engine="batched"``
+        the random cycle budget is split across up to ``sim_lanes``
+        independent from-reset trials simulated bit-parallel (each lane
+        still spans at least one mining window), and the result is the
+        :class:`~repro.sim.batched.LaneWordBlock` of lane-packed words, so
         trace -> dataset -> tree never widens to per-row Python objects.
-        The block holds exactly the data :meth:`generate_traces` would
-        return (same RNG stream), so the engine choice never changes what
-        gets mined.
         """
-        if (stimulus is None and self.config.sim_engine == "batched"
-                and self.config.mine_engine == "columnar"):
-            from repro.sim.batched import random_batch_block
+        if stimulus is not None or self.config.sim_engine != "batched":
+            return [self.generate_data(stimulus)]
+        from repro.sim.batched import random_batch_block
 
-            per_lane, lanes = self._batch_shape()
-            return random_batch_block(
-                self.module, per_lane, lanes=lanes,
-                seed=self.config.random_seed, bias=self.config.input_bias,
-                synth=self.synth, ir_opt=self.config.ir_opt,
-            )
-        return self.generate_traces(stimulus)
+        per_lane, lanes = self._batch_shape()
+        return random_batch_block(
+            self.module, per_lane, lanes=lanes,
+            seed=self.config.random_seed, bias=self.config.input_bias,
+            synth=self.synth,
+        )
 
     # ------------------------------------------------------------------
     # target enumeration
@@ -170,12 +148,11 @@ class GoldMine:
     # ------------------------------------------------------------------
     # mining
     # ------------------------------------------------------------------
-    def build_dataset(self, output: str, bit: int | None = None):
-        """A mining dataset on the configured ``mine_engine``."""
-        return create_dataset(
+    def build_dataset(self, output: str, bit: int | None = None) -> ColumnarDataset:
+        """The columnar A-Miner dataset for one output bit."""
+        return ColumnarDataset(
             self.module,
             output,
-            engine=self.config.mine_engine,
             window=self.config.window,
             output_bit=bit,
             include_internal_state=self.config.include_internal_state,
@@ -188,8 +165,7 @@ class GoldMine:
 
         ``data`` is an iterable of traces, or a
         :class:`~repro.sim.batched.LaneWordBlock` of lane-packed words
-        (the zero-copy hand-off from the batched data generator, folded
-        in directly by the columnar dataset).
+        (the zero-copy hand-off from the batched data generator).
         """
         dataset = self.build_dataset(output, bit)
         from repro.sim.batched import LaneWordBlock
@@ -221,8 +197,8 @@ class GoldMine:
 
         When ``traces`` is omitted, the data generator produces random
         data first on the configured simulation engine (``stimulus``
-        overrides the random default); with the batched simulator and the
-        columnar miner the data stays lane-packed end to end.
+        overrides the random default); with the batched simulator the
+        data stays lane-packed end to end.
         """
         if traces is None:
             data = self.generate_mining_data(stimulus)

@@ -41,11 +41,8 @@ from repro.sim.trace import Trace
 class OutputContext:
     """Per-output mining state carried across iterations.
 
-    ``tree`` is the configured engine's incremental decision tree —
-    :class:`~repro.mining.incremental_tree.IncrementalDecisionTree`
-    (row-wise) or
-    :class:`~repro.mining.columnar.ColumnarIncrementalDecisionTree`;
-    both share the surface the loop drives.
+    ``tree`` is the output's
+    :class:`~repro.mining.columnar.ColumnarIncrementalDecisionTree`.
     """
 
     output: str
@@ -110,7 +107,6 @@ class CoverageClosure:
             self._batched_simulator = BatchedSimulator(
                 module, lanes=self.config.sim_lanes, synth=self.engine.synth,
                 trace_columns=self._simulator.trace_columns,
-                ir_opt=self.config.ir_opt,
             )
 
     # ------------------------------------------------------------------
@@ -303,5 +299,5 @@ class CoverageClosure:
         raise KeyError(f"no mining context for output '{label}'")
 
     def final_tree(self, label: str):
-        """The configured engine's incremental tree for one output."""
+        """The incremental decision tree of one output."""
         return self.context_for(label).tree

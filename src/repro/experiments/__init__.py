@@ -13,12 +13,11 @@ library code with no side effects; the layers above consume them:
 
 Every driver takes ``config``, a :class:`~repro.core.config.GoldMineConfig`
 carrying the engine stack: the simulation back end (also used for
-coverage replay), the formal back end and the A-Miner back end, plus how
-each executes.  A driver keeps those fields, sets its own window,
+coverage replay) and the formal back end, plus how each executes.  A driver keeps those fields, sets its own window,
 iteration budget and depth with :func:`dataclasses.replace`, and never
 mutates the caller's object; results are engine-independent::
 
-    fig16_itc99.run(config=GoldMineConfig(sim_engine="batched", mine_engine="columnar"))
+    fig16_itc99.run(config=GoldMineConfig(sim_engine="batched", sim_lanes=128))
 
 | Paper artifact | Driver |
 |----------------|--------|

@@ -139,8 +139,7 @@ class BmcModelChecker:
     def __init__(self, module: Module, bound: int = 10, use_induction: bool = True,
                  incremental: bool = True, max_learned: int = 4000,
                  solver_cls: type = SatSolver,
-                 query_timeout: float | None = None,
-                 ir_opt: bool = False):
+                 query_timeout: float | None = None):
         self.module = module
         self.bound = bound
         self.use_induction = use_induction
@@ -156,28 +155,9 @@ class BmcModelChecker:
         #: solver by default, LegacySatSolver for differential baselines.
         self._solver_cls = solver_cls
         self._synth = synthesize(module)
-        #: IR optimization pipeline (:mod:`repro.ir`): per-assertion COI
-        #: slicing plus reset-constant register folding.  When enabled,
-        #: every check runs against the unrolling of the assertion's slice,
-        #: so the encoder and solver only ever see the cone.
-        self.ir_opt = ir_opt
-        if ir_opt:
-            from repro.ir import OptimizedDesign
-
-            self._opt = OptimizedDesign(self._synth, assume_reset_low=True)
-        else:
-            self._opt = None
-        #: Slice key (sorted signal tuple; ``None`` = whole design) of the
-        #: assertion currently being checked.
-        self._active_slice: tuple[str, ...] | None = None
-        #: Slice key -> persistent unroller of that slice.
-        self._unrollers: dict[tuple[str, ...] | None, Unroller] = {}
-        #: ``(from_reset, slice key)`` -> persistent solver context
-        #: (incremental mode).  Per-slice contexts are where COI reduction
-        #: pays at the solver: each query's clause database holds only its
-        #: cone's encoding instead of the union of every cone seen so far.
-        self._contexts: dict[tuple[bool, tuple[str, ...] | None],
-                             IncrementalSolver] = {}
+        self._unroller = Unroller(module, self._synth, cache=incremental)
+        #: ``from_reset`` flag -> persistent solver context (incremental mode).
+        self._contexts: dict[bool, IncrementalSolver] = {}
         #: Expression node -> frozenset of variable names, for the canonical
         #: counterexample extraction.  Keyed by node identity (hash-consing
         #: makes that structural); unrolled bit functions are shared across
@@ -185,46 +165,13 @@ class BmcModelChecker:
         self._support_memo: dict[BoolExpr, frozenset[str]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def _unroller(self) -> Unroller:
-        """The persistent unroller of the active slice (lazily built)."""
-        unroller = self._unrollers.get(self._active_slice)
-        if unroller is None:
-            if self._active_slice is None:
-                unroller = Unroller(self.module, self._synth,
-                                    cache=self.incremental)
-            else:
-                unroller = Unroller(
-                    self.module, self._synth, cache=self.incremental,
-                    slice_signals=self._active_slice,
-                    constant_registers=self._opt.constant_registers)
-            self._unrollers[self._active_slice] = unroller
-        return unroller
-
-    def _activate_slice(self, assertion: Assertion) -> None:
-        """Select the COI slice for ``assertion`` (no-op without ir_opt)."""
-        if self._opt is None:
-            self._active_slice = None
-            return
-        signals = {literal.signal for literal in assertion.antecedent}
-        signals.add(assertion.consequent.signal)
-        self._active_slice = self._opt.slice_for(signals)
-
-    def _slice_registers(self) -> list[str]:
-        """Registers of the active slice (all registers when unsliced)."""
-        if self._active_slice is None:
-            return self._synth.registers
-        next_state = self._synth.next_state
-        return [name for name in self._active_slice if name in next_state]
-
     def _context(self, from_reset: bool) -> IncrementalSolver:
-        key = (from_reset, self._active_slice)
-        context = self._contexts.get(key)
+        context = self._contexts.get(from_reset)
         if context is None:
             context = IncrementalSolver(max_learned=self._max_learned,
                                         solver_cls=self._solver_cls)
             self._arm(context.solver)
-            self._contexts[key] = context
+            self._contexts[from_reset] = context
         return context
 
     # ------------------------------------------------------------------
@@ -289,15 +236,11 @@ class BmcModelChecker:
                 stats[key] = stats.get(key, 0) + int(value)
         for key, value in self._timeout_counters.items():
             stats[key] = stats.get(key, 0) + value
-        if self._opt is not None:
-            stats["ir_slices"] = len(self._unrollers)
-            stats["ir_folded_registers"] = len(self._opt.constant_registers)
         return stats
 
     # ------------------------------------------------------------------
     def check(self, assertion: Assertion) -> CheckResult:
         start = time.perf_counter()
-        self._activate_slice(assertion)
         span = assertion.consequent.cycle + 1
         depth = max(self.bound, span)
         self._start_deadline()

@@ -53,8 +53,7 @@ def build_engine(module: Module, name: str, bound: int = 10,
                  max_input_combinations: int = 4_096,
                  pinned_inputs: Mapping[str, int] | None = None,
                  induction_k: int = 8,
-                 query_timeout: float | None = None,
-                 ir_opt: bool = False):
+                 query_timeout: float | None = None):
     """Construct one formal engine by name.
 
     Shared by :class:`FormalVerifier` and the parallel pool's workers
@@ -63,10 +62,7 @@ def build_engine(module: Module, name: str, bound: int = 10,
 
     ``query_timeout`` is the per-check wall-clock budget; it only applies
     to the SAT-based engines (the explicit and BDD engines already carry
-    their own exploration limits).  ``ir_opt`` enables the netlist IR
-    pipeline (:mod:`repro.ir`) on the SAT-based engines — per-assertion
-    COI slicing and reset-constant register folding; the explicit and BDD
-    engines ignore it (they enumerate word-level states directly).
+    their own exploration limits).
     """
     if name == "explicit":
         return ExplicitModelChecker(
@@ -77,15 +73,15 @@ def build_engine(module: Module, name: str, bound: int = 10,
         )
     if name == "bmc":
         return BmcModelChecker(module, bound=bound, incremental=True,
-                               query_timeout=query_timeout, ir_opt=ir_opt)
+                               query_timeout=query_timeout)
     if name == "k-induction":
         return KInductionModelChecker(module, bound=bound,
                                       induction_k=induction_k, incremental=True,
-                                      query_timeout=query_timeout, ir_opt=ir_opt)
+                                      query_timeout=query_timeout)
     if name == "tiered":
         return TieredModelChecker(module, bound=bound,
                                   induction_k=induction_k, incremental=True,
-                                  query_timeout=query_timeout, ir_opt=ir_opt)
+                                  query_timeout=query_timeout)
     if name == "bdd":
         from repro.formal.bdd_engine import BddModelChecker
 
@@ -197,8 +193,7 @@ class FormalVerifier:
                  induction_k: int = 8,
                  workers: int = 1,
                  proof_cache: ProofCache | None = None,
-                 query_timeout: float | None = None,
-                 ir_opt: bool = False):
+                 query_timeout: float | None = None):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine '{engine}'; choose from {self.ENGINES}")
         if cross_check_engine is not None and cross_check_engine not in self.ENGINES:
@@ -220,7 +215,6 @@ class FormalVerifier:
             "pinned_inputs": dict(pinned_inputs) if pinned_inputs else None,
             "induction_k": induction_k,
             "query_timeout": query_timeout,
-            "ir_opt": ir_opt,
         }
         self._cache: dict[Assertion, CheckResult] = {}
         # Engines, the worker pool and the design fingerprint are all built
@@ -270,16 +264,11 @@ class FormalVerifier:
         engine.  Worker count never appears — parallelism does not change
         results, so serial and parallel runs share cache entries.
         """
-        # The IR pipeline preserves bounded verdicts but can strengthen
-        # k-induction (sliced simple-path constraints prove more), so
-        # sliced and unsliced entries must never alias in the cache.
-        ir_suffix = ":ir" if self._engine_kwargs.get("ir_opt") else ""
         if self.engine_name == "bmc":
-            return (f"{self.engine_name}:bound={self._engine_kwargs['bound']}"
-                    f"{ir_suffix}")
+            return f"{self.engine_name}:bound={self._engine_kwargs['bound']}"
         if self.engine_name in ("k-induction", "tiered"):
             return (f"{self.engine_name}:bound={self._engine_kwargs['bound']}"
-                    f":k={self._engine_kwargs['induction_k']}{ir_suffix}")
+                    f":k={self._engine_kwargs['induction_k']}")
         if self.engine_name == "explicit":
             pinned = self._engine_kwargs["pinned_inputs"] or {}
             pinned_key = ",".join(f"{name}={value}"

@@ -111,22 +111,13 @@ class KInductionModelChecker(BmcModelChecker):
     def __init__(self, module: Module, bound: int = 10, induction_k: int = 8,
                  incremental: bool = True, max_learned: int = 4000,
                  solver_cls: type = SatSolver,
-                 query_timeout: float | None = None,
-                 ir_opt: bool = False):
+                 query_timeout: float | None = None):
         super().__init__(module, bound=bound, use_induction=True,
                          incremental=incremental, max_learned=max_learned,
-                         solver_cls=solver_cls, query_timeout=query_timeout,
-                         ir_opt=ir_opt)
+                         solver_cls=solver_cls, query_timeout=query_timeout)
         self.induction_k = induction_k
-        #: ``(slice key, i, j)`` -> guard literal in that slice's step
-        #: context.  With COI slicing the distinctness constraints range
-        #: over the slice's registers only — sound because the sliced
-        #: transition system is an exact abstraction for cone properties
-        #: (cone bits' next-states read only cone bits and inputs, and
-        #: every reachable full state projects to a reachable slice state),
-        #: and strictly smaller: fewer register bits per cycle pair.
-        self._distinct_guards: dict[tuple[tuple[str, ...] | None, int, int],
-                                    int] = {}
+        #: ``(i, j)`` cycle pair -> guard literal in the step context.
+        self._distinct_guards: dict[tuple[int, int], int] = {}
         self._induction_counters = {
             "induction_step_queries": 0,
             "induction_proofs": 0,
@@ -144,7 +135,6 @@ class KInductionModelChecker(BmcModelChecker):
     # ------------------------------------------------------------------
     def check(self, assertion: Assertion) -> CheckResult:
         start = time.perf_counter()
-        self._activate_slice(assertion)
         span = assertion.consequent.cycle + 1
         depth = max(self.bound, span)
         #: Window starts the plain bounded search would scan: [0, base_limit).
@@ -230,7 +220,7 @@ class KInductionModelChecker(BmcModelChecker):
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
                 builder.assert_expr(
-                    state_distinct_expr(design, self._slice_registers(), i, j))
+                    state_distinct_expr(design, self._synth.registers, i, j))
         solver = self._solver_cls(builder.clauses, builder.variable_count)
         self._arm(solver)
         result = solver.solve()
@@ -238,13 +228,12 @@ class KInductionModelChecker(BmcModelChecker):
 
     def _distinct_guard(self, design, i: int, j: int) -> int:
         """Guard literal enabling ``state(i) != state(j)`` in the step context."""
-        key = (self._active_slice, i, j)
-        guard = self._distinct_guards.get(key)
+        guard = self._distinct_guards.get((i, j))
         if guard is None:
             context = self._context(False)
             guard = context.guard_expr(
-                state_distinct_expr(design, self._slice_registers(), i, j))
-            self._distinct_guards[key] = guard
+                state_distinct_expr(design, self._synth.registers, i, j))
+            self._distinct_guards[(i, j)] = guard
             self._induction_counters["induction_guards_encoded"] += 1
         return guard
 

@@ -214,10 +214,9 @@ class MiningDataset:
     def add_traces(self, traces: Iterable[Trace]) -> int:
         """Extract windows from several traces; returns total rows added.
 
-        This is the natural ingestion point for the batched simulation
-        engine, whose data generator returns one trace per lane
-        (:meth:`repro.core.goldmine.GoldMine.generate_traces` /
-        :func:`repro.sim.batched.random_batch_traces`): windows never
+        This is the natural ingestion point for per-lane traces of the
+        batched simulation engine
+        (:func:`repro.sim.batched.random_batch_traces`): windows never
         straddle lane boundaries, since every lane starts from reset.
         """
         return sum(self.add_trace(trace) for trace in traces)

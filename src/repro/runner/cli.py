@@ -29,7 +29,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro import FORMAL_ENGINES, MINE_ENGINES, SIM_ENGINES
+from repro import FORMAL_ENGINES, SIM_ENGINES
 from repro.core.config import ENGINE_FIELDS, GoldMineConfig
 from repro.runner.checkpoint import (
     CheckpointError,
@@ -124,18 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "defaults to <artifacts>/proofcache.json)")
     run.add_argument("--lanes", dest="sim_lanes", type=int, default=64,
                      help="lanes per batched-simulation pass (default 64)")
-    run.add_argument("--mine-engine", dest="mine_engine",
-                     choices=MINE_ENGINES, default="rowwise",
-                     help="A-Miner back end (rowwise = per-row dicts, the "
-                          "differential baseline; columnar = big-int bitset "
-                          "columns with popcount split gains — identical "
-                          "trees, much faster induction)")
-    run.add_argument("--ir-opt", dest="ir_opt", action="store_true",
-                     help="route the formal engines and the batched "
-                          "simulator through the netlist IR's optimization "
-                          "passes (structural hashing, constant folding, "
-                          "per-assertion cone-of-influence slicing); "
-                          "results are identical, SAT encodings smaller")
     run.add_argument("--smoke", action="store_true",
                      help="smoke scale: reduced subjects/budgets, seconds not minutes")
     run.add_argument("--designs", type=_parse_csv, default=None,
@@ -171,6 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
+def _run_option_error(args: argparse.Namespace) -> str | None:
+    """Why a run option is out of range, or ``None`` when all are valid."""
+    rules = (
+        ("--workers", args.workers, lambda v: v >= 1, "must be at least 1"),
+        ("--job-timeout", args.job_timeout, lambda v: v > 0, "must be positive"),
+        ("--job-memory-budget", args.job_memory_budget, lambda v: v > 0,
+         "must be positive"),
+        ("--job-retries", args.job_retries, lambda v: v >= 0, "cannot be negative"),
+        ("--seed-cycles", args.seed_cycles, lambda v: v >= 0, "cannot be negative"),
+        ("--max-iterations", args.max_iterations, lambda v: v >= 1,
+         "must be at least 1"),
+    )
+    for flag, value, valid, requirement in rules:
+        if value is not None and not valid(value):
+            return f"{flag} {requirement}, got {value}"
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = get_experiment(args.experiment)
@@ -187,6 +193,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = GoldMineConfig(**stack)
     except ValueError as exc:
         print(f"invalid engine option: {exc}", file=sys.stderr)
+        return 2
+    error = _run_option_error(args)
+    if error is not None:
+        print(f"invalid run option: {error}", file=sys.stderr)
         return 2
     options = RunOptions(config=config, smoke=args.smoke, designs=args.designs,
                          seeds=args.seeds, seed_cycles=args.seed_cycles,

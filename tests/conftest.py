@@ -11,6 +11,7 @@ environments.  Individual tests can override the budget with
 
 from __future__ import annotations
 
+import contextlib
 import signal
 import threading
 
@@ -179,3 +180,33 @@ def answer_then_die(monkeypatch):
 
     monkeypatch.setattr(connection.Connection, "send", send_then_die)
     monkeypatch.setattr(connection, "wait", late_wait)
+
+
+def _rowwise_build_dataset(engine, output, bit=None):
+    from repro.mining import MiningDataset
+
+    return MiningDataset(engine.module, output, window=engine.config.window,
+                         output_bit=bit,
+                         include_internal_state=engine.config.include_internal_state,
+                         synth=engine.synth)
+
+
+@pytest.fixture
+def rowwise_miner():
+    """Context-manager factory that swaps in the row-wise reference miner.
+
+    Inside ``with rowwise_miner():`` every :class:`GoldMine` (and so every
+    :class:`CoverageClosure`) builds a row-wise
+    :class:`~repro.mining.MiningDataset`; ``create_decision_tree``
+    dispatches on the dataset's type, so the whole pipeline then mines
+    with the row-wise trees the columnar miner is held identical to.
+    """
+    from repro.core.goldmine import GoldMine
+
+    @contextlib.contextmanager
+    def seam():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GoldMine, "build_dataset", _rowwise_build_dataset)
+            yield
+
+    return seam

@@ -22,7 +22,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             GoldMineConfig(**kwargs)
 
-    @pytest.mark.parametrize("field", ["engine", "sim_engine", "mine_engine"])
+    @pytest.mark.parametrize("field", ["engine", "sim_engine"])
     def test_unknown_engine_names_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be one of"):
             GoldMineConfig(**{field: "bogus"})

@@ -143,10 +143,9 @@ class TestConfigThreading:
     @pytest.mark.parametrize("name", experiment_names())
     def test_no_driver_drops_the_config(self, name, monkeypatch, tmp_path):
         stack = GoldMineConfig(sim_engine="batched", sim_lanes=8, engine="tiered",
-                               induction_k=2, mine_engine="columnar",
-                               formal_workers=2,
+                               induction_k=2, formal_workers=2,
                                formal_proof_cache=str(tmp_path / "cache.json"),
-                               formal_query_timeout=60.0, ir_opt=True)
+                               formal_query_timeout=60.0)
         defaults = GoldMineConfig()
         assert all(getattr(stack, field) != getattr(defaults, field)
                    for field in ENGINE_FIELDS)

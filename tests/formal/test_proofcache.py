@@ -343,3 +343,21 @@ class TestResolve:
         first = ProofCache.resolve(tmp_path / "a.json")
         assert first is ProofCache.resolve(str(tmp_path / "a.json"))
         assert first is not ProofCache.resolve(tmp_path / "b.json")
+
+
+class TestEngineKeys:
+    """The engine part of every cache key is pinned: a changed string
+    would make every existing on-disk cache miss."""
+
+    @pytest.mark.parametrize("engine,expected", [
+        ("bmc", "bmc:bound=10"),
+        ("k-induction", "k-induction:bound=10:k=8"),
+        ("tiered", "tiered:bound=10:k=8"),
+        ("bdd", "bdd"),
+        ("explicit", "explicit:max_states=50000:max_inputs=4096:pinned="),
+    ])
+    def test_default_stack_keys_unchanged(self, engine, expected):
+        from repro.formal.checker import FormalVerifier
+
+        verifier = FormalVerifier(design_info("arbiter2").build(), engine=engine)
+        assert verifier._proof_engine_key() == expected

@@ -1,12 +1,18 @@
-"""Differential suite: the columnar miner against the row-wise baseline.
+"""Differential suite: the columnar miner against the row-wise reference.
 
-The contract (ISSUE 4 acceptance): for randomized traces across designs,
+The columnar miner is the only one the pipeline builds; the row-wise
+miner is kept as the reference it is held to.  The contract: for
+randomized traces across designs,
 windows and seeds, :class:`ColumnarDecisionTree` produces node-for-node
 identical trees and identical ``candidate_assertions()`` to the row-wise
 :class:`DecisionTree`, both for fresh builds and under counterexample-
 style incremental refinement, and whether the columnar dataset was built
 from per-lane traces or zero-copy from the batched simulator's
-lane-packed words.
+lane-packed words.  The end-to-end cases swap the reference into
+``GoldMine``/``CoverageClosure`` through the ``rowwise_miner`` fixture
+(``tests/conftest.py``), which replaces ``GoldMine.build_dataset``; the
+trees follow through :func:`~repro.mining.create_decision_tree`'s dispatch
+on the dataset's type.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from repro.mining import (
     MiningDataset,
     DecisionTree,
     IncrementalDecisionTree,
-    create_dataset,
     create_decision_tree,
     diff_trees,
 )
@@ -191,18 +196,24 @@ class TestZeroCopyBlockPath:
         for a, b in zip(widened, direct):
             assert a.columns == b.columns and a.rows == b.rows
 
-    def test_goldmine_mine_is_engine_invariant_end_to_end(self):
-        """batched+columnar (zero-copy generate path) == batched+rowwise."""
-        from repro.designs import arbiter2
-
-        reports = {}
-        for mine_engine in ("rowwise", "columnar"):
-            engine = GoldMine(arbiter2(), GoldMineConfig(
-                window=2, random_cycles=96, sim_engine="batched",
-                sim_lanes=16, mine_engine=mine_engine))
-            reports[mine_engine] = engine.mine()
-        baseline = reports["rowwise"]
-        zero_copy = reports["columnar"]
+    @pytest.mark.parametrize("sim_engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("design", ["arbiter2", "b01", "cex_small",
+                                        "counter_block", "wbstage"])
+    def test_goldmine_mine_matches_rowwise_reference(self, design, sim_engine,
+                                                     rowwise_miner):
+        """GoldMine.mine on the columnar miner (fed the lane block zero-copy
+        when batched) == the same pass with the row-wise reference."""
+        meta = design_info(design)
+        config = GoldMineConfig(window=meta.window, random_cycles=96,
+                                sim_engine=sim_engine, sim_lanes=16)
+        outputs = list(meta.mining_outputs) or None
+        zero_copy = GoldMine(meta.build(), config).mine(outputs=outputs)
+        with rowwise_miner():
+            engine = GoldMine(meta.build(), config)
+            assert isinstance(engine.build_dataset(*engine.target_outputs(outputs)[0]),
+                              MiningDataset)
+            baseline = engine.mine(outputs=outputs)
+        assert zero_copy.candidate_count > 0
         assert set(baseline.summaries) == set(zero_copy.summaries)
         for label in baseline.summaries:
             assert baseline.summaries[label].candidates == \
@@ -218,62 +229,65 @@ def _rowwise_from_traces(module, output, bit, window, traces):
 
 
 class TestClosureEngineInvariance:
-    """The full refinement loop mines the same assertions on either engine."""
+    """The full refinement loop mines the same assertions on the reference."""
+
+    @staticmethod
+    def _closure(meta, config, **kwargs):
+        return CoverageClosure(meta.build(),
+                               outputs=list(meta.mining_outputs) or None,
+                               config=config, **kwargs)
 
     @pytest.mark.parametrize("design", ["arbiter2", "b01", "cex_small"])
-    def test_closure_results_identical(self, design):
+    def test_closure_results_identical(self, design, rowwise_miner):
         meta = design_info(design)
-        results = {}
-        closures = {}
-        for mine_engine in ("rowwise", "columnar"):
-            config = GoldMineConfig(window=meta.window, mine_engine=mine_engine)
-            closure = CoverageClosure(meta.build(),
-                                      outputs=list(meta.mining_outputs) or None,
-                                      config=config)
-            seed = meta.seed_vectors() if meta.directed_test is not None else \
-                RandomStimulus(8, seed=4)
-            results[mine_engine] = closure.run(seed)
-            closures[mine_engine] = closure
-        rowwise, columnar = results["rowwise"], results["columnar"]
+        config = GoldMineConfig(window=meta.window)
+        seed = meta.seed_vectors() if meta.directed_test is not None else \
+            RandomStimulus(8, seed=4)
+        closure = self._closure(meta, config)
+        columnar = closure.run(seed)
+        with rowwise_miner():
+            reference = self._closure(meta, config)
+            rowwise = reference.run(seed)
+        assert all(isinstance(context.tree, ColumnarIncrementalDecisionTree)
+                   for context in closure.contexts)
+        assert all(isinstance(context.tree, IncrementalDecisionTree)
+                   for context in reference.contexts)
         assert rowwise.converged == columnar.converged
         assert rowwise.true_assertions == columnar.true_assertions
         assert rowwise.test_suite == columnar.test_suite
         assert len(rowwise.iterations) == len(columnar.iterations)
-        for row_ctx, col_ctx in zip(closures["rowwise"].contexts,
-                                    closures["columnar"].contexts):
+        for row_ctx, col_ctx in zip(reference.contexts, closure.contexts):
             assert diff_trees(row_ctx.tree.root, col_ctx.tree.root) == []
 
-    def test_rebuild_trees_variant_also_invariant(self):
+    def test_rebuild_trees_variant_also_invariant(self, rowwise_miner):
         meta = design_info("arbiter2")
-        outcomes = []
-        for mine_engine in ("rowwise", "columnar"):
-            config = GoldMineConfig(window=2, mine_engine=mine_engine)
+        config = GoldMineConfig(window=2)
+
+        def run():
             closure = CoverageClosure(meta.build(), outputs=["gnt0"],
                                       config=config, rebuild_trees=True)
-            outcomes.append(closure.run(meta.seed_vectors()))
-        assert outcomes[0].true_assertions == outcomes[1].true_assertions
-        assert outcomes[0].test_suite == outcomes[1].test_suite
+            return closure.run(meta.seed_vectors())
+
+        columnar = run()
+        with rowwise_miner():
+            rowwise = run()
+        assert rowwise.true_assertions == columnar.true_assertions
+        assert rowwise.test_suite == columnar.test_suite
 
 
 class TestFactories:
-    def test_create_dataset_dispatch(self, arbiter2_module):
-        assert isinstance(create_dataset(arbiter2_module, "gnt0"), MiningDataset)
-        assert isinstance(
-            create_dataset(arbiter2_module, "gnt0", engine="columnar"),
-            ColumnarDataset)
-        with pytest.raises(ValueError):
-            create_dataset(arbiter2_module, "gnt0", engine="nope")
+    def test_goldmine_builds_the_columnar_miner(self, arbiter2_module):
+        engine = GoldMine(arbiter2_module, GoldMineConfig(window=2))
+        dataset = engine.build_dataset("gnt0")
+        assert isinstance(dataset, ColumnarDataset)
+        assert dataset.window == 2
 
     def test_create_decision_tree_dispatch(self, arbiter2_module):
-        rowwise = create_dataset(arbiter2_module, "gnt0")
-        columnar = create_dataset(arbiter2_module, "gnt0", engine="columnar")
+        rowwise = MiningDataset(arbiter2_module, "gnt0")
+        columnar = ColumnarDataset(arbiter2_module, "gnt0")
         assert isinstance(create_decision_tree(rowwise), DecisionTree)
         assert isinstance(create_decision_tree(rowwise, incremental=True),
                           IncrementalDecisionTree)
         assert isinstance(create_decision_tree(columnar), ColumnarDecisionTree)
         assert isinstance(create_decision_tree(columnar, incremental=True),
                           ColumnarIncrementalDecisionTree)
-
-    def test_config_rejects_unknown_mine_engine(self):
-        with pytest.raises(ValueError):
-            GoldMineConfig(mine_engine="sideways")

@@ -16,13 +16,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import experiment_names
+from repro.core.config import GoldMineConfig
+from repro.runner import (
+    RunOptions,
+    aggregate_records,
+    experiment_names,
+    get_experiment,
+    run_one_job,
+)
+from repro.runner.cli import _run_option_error, build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Experiments whose artifacts the engine-identity tests compare across
-#: engine stacks: fig12 by default, every registered experiment (about a
-#: minute) when ENGINE_IDENTITY_FULL=1, as the CI docs job sets it.
+#: engine stacks and against the row-wise reference miner: fig12 by
+#: default, every registered experiment (about a minute) when
+#: ENGINE_IDENTITY_FULL=1, as the CI docs job sets it.
 IDENTITY_EXPERIMENTS = experiment_names() \
     if os.environ.get("ENGINE_IDENTITY_FULL", "") not in ("", "0") else ["fig12"]
 
@@ -103,6 +112,38 @@ class TestRun:
         assert process.returncode == 2
         assert "unknown experiment" in process.stderr
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--workers", "-2"),
+        ("--job-timeout", "0"), ("--job-timeout", "-1"),
+        ("--job-memory-budget", "0"), ("--job-retries", "-1"),
+        ("--seed-cycles", "-3"), ("--max-iterations", "0"),
+    ])
+    def test_out_of_range_run_option_exits_2(self, tmp_path, flag, value):
+        process = repro_cli("run", "sweep", "--smoke", "--designs", "arbiter2",
+                            flag, value, "--artifacts", str(tmp_path),
+                            check=False)
+        assert process.returncode == 2
+        assert f"invalid run option: {flag}" in process.stderr
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--workers", "1"), ("--job-timeout", "0.5"),
+        ("--job-memory-budget", "64"), ("--job-retries", "0"),
+        ("--seed-cycles", "0"), ("--max-iterations", "1"),
+    ])
+    def test_in_range_run_options_accepted(self, flags):
+        args = build_parser().parse_args(["run", "sweep", *flags])
+        assert _run_option_error(args) is None
+
+    @pytest.mark.parametrize("flags", [("--mine-engine", "columnar"),
+                                       ("--ir-opt",)])
+    def test_removed_engine_flags_exit_2(self, tmp_path, flags):
+        process = repro_cli("run", "fig12", *flags, "--artifacts", str(tmp_path),
+                            check=False)
+        assert process.returncode == 2
+        assert "unrecognized arguments" in process.stderr
+        assert not (tmp_path / "fig12").exists()
+
     def test_invalid_engine_option_exits_2(self, tmp_path):
         process = repro_cli("run", "fig12", "--lanes", "0",
                             "--artifacts", str(tmp_path), check=False)
@@ -146,24 +187,33 @@ class TestRun:
 
     @pytest.mark.parametrize("name", IDENTITY_EXPERIMENTS)
     def test_engine_batched_matches_scalar(self, tmp_path, name):
-        """The batched simulator (with the IR passes) must not change any
-        artifact data."""
+        """The batched simulator must not change any artifact data."""
         assert _smoke_result(tmp_path / "scalar", name) == _smoke_result(
-            tmp_path / "batched", name, "--engine", "batched", "--lanes", "16",
-            "--ir-opt")
+            tmp_path / "batched", name, "--engine", "batched", "--lanes", "16")
 
+
+class TestRowwiseReference:
+    """The row-wise reference miner, swapped in for the columnar one, must
+    reproduce every artifact (run in-process: the swap is a monkeypatch)."""
+
+    @staticmethod
+    def _document(name: str, config: GoldMineConfig) -> str:
+        jobs = get_experiment(name).expand(RunOptions(config=config, smoke=True))
+        records = {job.job_id: run_one_job(job.task()) for job in jobs}
+        document = aggregate_records(name, jobs, records)
+        assert not document.get("failures"), document["failures"]
+        document.pop("jobs")
+        return json.dumps(document, sort_keys=True)
+
+    @pytest.mark.parametrize("stack", [
+        GoldMineConfig(), GoldMineConfig(sim_engine="batched", sim_lanes=16),
+    ], ids=["default", "batched"])
     @pytest.mark.parametrize("name", IDENTITY_EXPERIMENTS)
-    def test_mine_engine_columnar_matches_rowwise(self, tmp_path, name):
-        """--mine-engine columnar must not change any artifact data."""
-        assert _smoke_result(tmp_path / "rowwise", name) == _smoke_result(
-            tmp_path / "columnar", name, "--mine-engine", "columnar",
-            "--engine", "batched", "--lanes", "16", "--ir-opt")
-
-    def test_mine_engine_recorded_in_manifest(self, tmp_path):
-        repro_cli("run", "fig12", "--mine-engine", "columnar",
-                  "--artifacts", str(tmp_path), "--quiet")
-        manifest = json.loads((tmp_path / "fig12" / "run.json").read_text())
-        assert manifest["options"]["mine_engine"] == "columnar"
+    def test_columnar_matches_rowwise_reference(self, name, stack, rowwise_miner):
+        columnar = self._document(name, stack)
+        with rowwise_miner():
+            rowwise = self._document(name, stack)
+        assert rowwise == columnar
 
 
 class TestResume:

@@ -54,13 +54,11 @@ class TestPublicApi:
         assert simulator.lanes == 4
 
     def test_mining_engine_surface_exported(self):
-        """The PR-4 mining engine API must be reachable from the top level."""
-        from repro import MINE_ENGINES
+        """The columnar A-Miner API must be reachable from repro.mining."""
         from repro.designs import arbiter2
-        from repro.mining import ColumnarDecisionTree, create_dataset, create_decision_tree
+        from repro.mining import ColumnarDataset, ColumnarDecisionTree, create_decision_tree
 
-        assert set(MINE_ENGINES) == {"rowwise", "columnar"}
-        dataset = create_dataset(arbiter2(), "gnt0", engine="columnar", window=2)
+        dataset = ColumnarDataset(arbiter2(), "gnt0", window=2)
         assert isinstance(create_decision_tree(dataset), ColumnarDecisionTree)
 
     def test_coverage_surface_exported(self):
