@@ -106,6 +106,65 @@ endmodule
 """
 
 
+#: Designs whose registers are stuck at their reset value under every
+#: input: ``stuck`` can only be ANDed down from 0, and ``a``/``b`` read
+#: each other so they are stuck only jointly.  ``track``/``live`` are
+#: ordinary live registers next to them.
+STUCK_REGISTER_SOURCES = {
+    "one_register": """
+module one_register(clk, rst, en, din, out, obs);
+  input clk, rst, en;
+  input [1:0] din;
+  output out, obs;
+  reg stuck;
+  reg [1:0] track;
+  assign out = stuck | (track == 2);
+  assign obs = stuck & en;
+  always @(posedge clk) begin
+    if (rst) begin
+      stuck <= 0;
+      track <= 0;
+    end else begin
+      stuck <= stuck & en;
+      track <= din;
+    end
+  end
+endmodule
+""",
+    "mutual_pair": """
+module mutual_pair(clk, rst, a_in, keep, out);
+  input clk, rst, a_in, keep;
+  output out;
+  reg a, b, live;
+  assign out = a | b | live;
+  always @(posedge clk) begin
+    if (rst) begin
+      a <= 0;
+      b <= 0;
+      live <= 0;
+    end else begin
+      a <= b & keep;
+      b <= a;
+      live <= a_in;
+    end
+  end
+endmodule
+""",
+}
+
+#: The stuck registers of each ``STUCK_REGISTER_SOURCES`` design.
+STUCK_REGISTERS = {"one_register": ("stuck",), "mutual_pair": ("a", "b")}
+
+
+@pytest.fixture(params=sorted(STUCK_REGISTER_SOURCES))
+def stuck_register_design(request):
+    """``(module, stuck_register_names)`` for each stuck-register design."""
+    from repro.hdl.parser import parse_module
+
+    name = request.param
+    return parse_module(STUCK_REGISTER_SOURCES[name]), STUCK_REGISTERS[name]
+
+
 @pytest.fixture
 def arbiter2_module():
     return arbiter2()

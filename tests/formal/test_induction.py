@@ -27,7 +27,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.assertions.assertion import Verdict
+from repro.assertions.assertion import Assertion, Literal, Verdict
 from repro.boolean.cnf import CnfBuilder
 from repro.boolean.expr import and_, not_
 from repro.boolean.sat import SatSolver
@@ -39,6 +39,7 @@ from repro.formal.induction import (
     TieredModelChecker,
     state_distinct_expr,
 )
+from repro.formal.result import PROOF_UNBOUNDED
 from repro.formal.statespace import StateSpace
 from repro.hdl.parser import parse_module
 
@@ -210,3 +211,42 @@ class TestTieringIsUnobservable:
         for design_name in ("arbiter2", "b01"):
             module = DESIGNS[design_name].build()
             self._compare(module, random_assertions(module, 10, seed=101))
+
+
+# ----------------------------------------------------------------------
+class TestStuckRegisters:
+    """Registers stuck at reset are invariants k-induction must prove.
+
+    ``stuck`` is 1-inductive on its own; ``a``/``b`` are stuck only
+    jointly, so neither is inductive alone and the proof needs a deeper
+    k.  The live register next to them must still be falsified.
+    """
+
+    @staticmethod
+    def _assertion(module, register, value):
+        trigger = module.data_input_names[0]
+        return Assertion((Literal(trigger, 1, 0),),
+                         Literal(register, value, 1), window=1)
+
+    def test_stuck_registers_proved_unbounded(self, stuck_register_design):
+        module, stuck = stuck_register_design
+        engine = KInductionModelChecker(module, bound=6, induction_k=6)
+        explicit = ExplicitModelChecker(module)
+        for register in stuck:
+            assertion = self._assertion(module, register, 0)
+            check = engine.check(assertion)
+            assert check.verdict is Verdict.TRUE, assertion.describe()
+            assert check.proof_strength == PROOF_UNBOUNDED
+            assert explicit.check(assertion).verdict is Verdict.TRUE
+
+    def test_live_register_falsified_with_replayable_witness(
+            self, stuck_register_design):
+        module, stuck = stuck_register_design
+        engine = KInductionModelChecker(module, bound=6, induction_k=6)
+        live = [name for name in module.state_names if name not in stuck]
+        assert live
+        for register in live:
+            assertion = self._assertion(module, register, 0)
+            check = engine.check(assertion)
+            assert check.verdict is Verdict.FALSE, assertion.describe()
+            assert replay_violates(module, assertion, check.counterexample)

@@ -40,13 +40,17 @@ def _isolated_shared_cache():
 
 def closure_artifact(design: str, seed: int, *, workers: int = 1,
                      proof_cache: bool | str = False,
-                     engine: str = "explicit", max_iterations: int = 10) -> dict:
-    """One full refinement run, reduced to its deterministic artifact."""
+                     engine: str = "explicit", max_iterations: int = 10,
+                     **engine_stack) -> dict:
+    """One full refinement run, reduced to its deterministic artifact.
+
+    ``engine_stack`` passes further ``GoldMineConfig`` fields through.
+    """
     meta = design_info(design)
     config = GoldMineConfig(window=meta.window, engine=engine,
                             formal_workers=workers,
                             formal_proof_cache=proof_cache,
-                            max_iterations=max_iterations)
+                            max_iterations=max_iterations, **engine_stack)
     closure = CoverageClosure(meta.build(),
                               outputs=list(meta.mining_outputs) or None,
                               config=config)
@@ -246,6 +250,22 @@ class TestClosureDifferential:
                                 proof_cache=True, max_iterations=6)
         assert canonical(cold) == baseline
         assert canonical(warm) == baseline
+
+    @pytest.mark.parametrize("design", ("arbiter2", "counter_block", "b01"))
+    def test_batched_tiered_closure_identical_across_modes(self, design):
+        """The batched-simulator + tiered stack: serial, parallel and
+        proof-cached formal back ends give one artifact."""
+        stack = dict(engine="tiered", bound=6, induction_k=4,
+                     sim_engine="batched", sim_lanes=16, max_iterations=5)
+        baseline = canonical(closure_artifact(design, 3, **stack))
+        assert canonical(closure_artifact(design, 3, workers=2,
+                                          **stack)) == baseline
+        # Twice with the shared in-memory cache: the second run is
+        # answered from cache hits.
+        for _ in range(2):
+            assert canonical(closure_artifact(design, 3, proof_cache=True,
+                                              **stack)) == baseline
+        assert ProofCache.resolve(True).hits > 0
 
     def test_cross_checking_verifier_never_serves_cached_verdicts(
             self, arbiter2_module):

@@ -235,3 +235,64 @@ def test_run_random_block_reproduces_run_random():
     block = BatchedSimulator(module, lanes=8).run_random_block(9, seed=11)
     for a, b in zip(block.to_traces(), direct):
         assert a.columns == b.columns and a.rows == b.rows
+
+
+# ----------------------------------------------------------------------
+# registers stuck at reset (the case a constant-folding compile would
+# special-case; the netlist compiles them like any other register)
+# ----------------------------------------------------------------------
+def _assert_lanes_match_scalars(module, batched, scalars, streams, cycles):
+    for t in range(cycles):
+        sampled = batched.step(_stack(streams, t))
+        for lane, simulator in enumerate(scalars):
+            reference = simulator.step(streams[lane][t])
+            for name in module.signals:
+                assert sampled.value(name, lane) == reference[name], (
+                    f"{module.name}: {name} diverged in lane {lane} at cycle {t}")
+
+
+def test_stuck_register_designs_are_lane_exact(stuck_register_design):
+    module, stuck = stuck_register_design
+    batched = BatchedSimulator(module, lanes=LANES)
+    scalars = [Simulator(module) for _ in range(LANES)]
+    for simulator in scalars:
+        simulator.reset()
+    streams = _lane_streams(module, LANES, 60, seed=4)
+    _assert_lanes_match_scalars(module, batched, scalars, streams, 60)
+    for name in stuck:
+        assert batched.peek(name) == [0] * LANES
+
+
+def test_poked_stuck_register_evolves_like_scalar(stuck_register_design):
+    """Poking a register off its stuck value is ordinary state: the
+    batched engine must follow the scalar one out of it, lane by lane."""
+    module, stuck = stuck_register_design
+    batched = BatchedSimulator(module, lanes=LANES)
+    scalars = [Simulator(module) for _ in range(LANES)]
+    per_lane = [lane & 1 for lane in range(LANES)]
+    for name in stuck:
+        batched.poke(name, per_lane)
+    batched.load_state({})
+    for lane, simulator in enumerate(scalars):
+        simulator.reset()
+        simulator.load_state({name: per_lane[lane] for name in stuck})
+        for name in stuck:
+            assert batched.peek_lane(name, lane) == simulator.peek(name)
+    streams = _lane_streams(module, LANES, 20, seed=9)
+    _assert_lanes_match_scalars(module, batched, scalars, streams, 20)
+
+
+def test_shared_netlist_backs_simulators_of_any_width():
+    from repro.sim.batched import CompiledNetlist
+
+    module = load("b01")
+    netlist = CompiledNetlist(module)
+    narrow = BatchedSimulator(module, lanes=4, netlist=netlist)
+    wide = BatchedSimulator(module, lanes=8, netlist=netlist)
+    assert narrow.netlist is wide.netlist is netlist
+    own = BatchedSimulator(module, lanes=8)
+    for a, b in zip(wide.run_random_block(30, seed=2).to_traces(),
+                    own.run_random_block(30, seed=2).to_traces()):
+        assert a.columns == b.columns and a.rows == b.rows
+    with pytest.raises(ValueError, match="different module"):
+        BatchedSimulator(load("b01"), lanes=4, netlist=netlist)
